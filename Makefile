@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci vet build test race bench bench-warm bench-revised bench-shard bench-servd bench-obs bench-screen bench-smoke fuzz-smoke revised-smoke crash-resume shard-smoke servd-smoke obs-smoke screen-smoke clean
+.PHONY: ci vet build test race bench bench-warm bench-revised bench-shard bench-servd bench-obs bench-screen bench-smoke fuzz-smoke revised-smoke crash-resume shard-smoke servd-smoke obs-smoke screen-smoke perfbench-smoke repro clean
 
-ci: vet build race bench-smoke fuzz-smoke revised-smoke crash-resume shard-smoke servd-smoke obs-smoke screen-smoke
+ci: vet build race bench-smoke fuzz-smoke revised-smoke crash-resume shard-smoke servd-smoke obs-smoke screen-smoke perfbench-smoke repro
 
 vet:
 	$(GO) vet ./...
@@ -150,6 +150,25 @@ screen-smoke:
 	cmp /tmp/cpsguard-screen-smoke/run/plain/fig5.csv /tmp/cpsguard-screen-smoke/run/screened/fig5.csv
 	grep -q '"screen.pruned": [1-9]' /tmp/cpsguard-screen-smoke/run/metrics.json
 	@echo "screen-smoke: screened CSV byte-identical to unscreened run, pruning active"
+
+# Paper-benchmark smoke: the perfbench module's own tests — a tiny run of
+# every workload that also checks each metric name and unit against
+# BENCHMARK.json, the golden Fig. 5 check and the warm == cold check.
+perfbench-smoke:
+	cd perfbench && $(GO) test ./...
+
+# Paper reproduction check: reruns the documented paper command
+# (EXPERIMENTS.md) into a temporary directory and byte-compares fig2–fig7
+# against the committed results/, so the published figures cannot drift
+# silently.
+repro:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) build -o "$$dir/cpsexp" ./cmd/cpsexp && \
+	"$$dir/cpsexp" -fig all -trials 10 -mode graph -log-level warn -csv "$$dir/run" >/dev/null && \
+	for f in fig2 fig3 fig4 fig5 fig6 fig7; do \
+		cmp "results/$$f.csv" "$$dir/run/$$f.csv" || exit 1; \
+	done
+	@echo "repro: fig2–fig7 byte-identical to results/"
 
 # Remove build and scratch artifacts. The reference CSVs committed under
 # results/ are deliberately preserved: they are reviewed outputs, not

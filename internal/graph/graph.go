@@ -218,39 +218,63 @@ func (g *Graph) OutEdges(id string) []int {
 // [0,1), nonnegative supplies/demands, known endpoints, no NaN/Inf, and the
 // paper's Eqs. 3–4 feasibility preconditions (every load's demand must be
 // reachable through incident capacity, every generator's supply deliverable).
+//
+// Failures are reported for the first offending vertex or edge in slice
+// order, and for a vertex's fields in declaration order. On a graph whose
+// lookup index is current and duplicate-free (every graph built with the
+// Add methods, unmarshaled or cloned) Validate allocates nothing.
 func (g *Graph) Validate() error {
 	g.ensureIndex()
-	seenV := map[string]bool{}
+	// With a current, duplicate-free index, membership is an index lookup.
+	// Otherwise (duplicate IDs, or slices edited after indexing) fall back
+	// to seen-sets built during the walk.
+	var seenV, seenE map[string]bool
+	if !g.indexCurrent() {
+		seenV, seenE = map[string]bool{}, map[string]bool{}
+	}
 	for _, v := range g.Vertices {
 		if v.ID == "" {
 			return fmt.Errorf("%w: vertex with empty ID", ErrValidation)
 		}
-		if seenV[v.ID] {
-			return fmt.Errorf("%w: duplicate vertex %q", ErrValidation, v.ID)
+		if seenV != nil {
+			if seenV[v.ID] {
+				return fmt.Errorf("%w: duplicate vertex %q", ErrValidation, v.ID)
+			}
+			seenV[v.ID] = true
 		}
-		seenV[v.ID] = true
-		for name, val := range map[string]float64{
-			"supply": v.Supply, "supply_cost": v.SupplyCost,
-			"demand": v.Demand, "price": v.Price,
+		for _, f := range [...]struct {
+			name string
+			val  float64
+		}{
+			{"supply", v.Supply}, {"supply_cost", v.SupplyCost},
+			{"demand", v.Demand}, {"price", v.Price},
 		} {
-			if math.IsNaN(val) || math.IsInf(val, 0) {
-				return fmt.Errorf("%w: vertex %q has non-finite %s", ErrValidation, v.ID, name)
+			if math.IsNaN(f.val) || math.IsInf(f.val, 0) {
+				return fmt.Errorf("%w: vertex %q has non-finite %s", ErrValidation, v.ID, f.name)
 			}
 		}
 		if v.Supply < 0 || v.Demand < 0 {
 			return fmt.Errorf("%w: vertex %q has negative supply/demand", ErrValidation, v.ID)
 		}
 	}
-	seenE := map[string]bool{}
+	known := func(id string) bool {
+		if seenV != nil {
+			return seenV[id]
+		}
+		_, ok := g.vIndex[id]
+		return ok
+	}
 	for _, e := range g.Edges {
 		if e.ID == "" {
 			return fmt.Errorf("%w: edge with empty ID", ErrValidation)
 		}
-		if seenE[e.ID] {
-			return fmt.Errorf("%w: duplicate edge %q", ErrValidation, e.ID)
+		if seenE != nil {
+			if seenE[e.ID] {
+				return fmt.Errorf("%w: duplicate edge %q", ErrValidation, e.ID)
+			}
+			seenE[e.ID] = true
 		}
-		seenE[e.ID] = true
-		if !seenV[e.From] || !seenV[e.To] {
+		if !known(e.From) || !known(e.To) {
 			return fmt.Errorf("%w: edge %q has unknown endpoint", ErrValidation, e.ID)
 		}
 		if e.From == e.To {
@@ -267,6 +291,26 @@ func (g *Graph) Validate() error {
 		}
 	}
 	return nil
+}
+
+// indexCurrent reports whether the lookup index maps exactly the current
+// vertex and edge IDs to their own positions. That holds only when every ID
+// is unique, so a current index doubles as a proof of uniqueness.
+func (g *Graph) indexCurrent() bool {
+	if len(g.vIndex) != len(g.Vertices) || len(g.eIndex) != len(g.Edges) {
+		return false
+	}
+	for i, v := range g.Vertices {
+		if j, ok := g.vIndex[v.ID]; !ok || j != i {
+			return false
+		}
+	}
+	for i, e := range g.Edges {
+		if j, ok := g.eIndex[e.ID]; !ok || j != i {
+			return false
+		}
+	}
+	return true
 }
 
 // CheckAdequacy verifies the paper's Eqs. 3–4: each load vertex has enough

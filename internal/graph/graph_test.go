@@ -86,6 +86,62 @@ func TestValidateCatchesBadNumbers(t *testing.T) {
 	}
 }
 
+// A vertex with several non-finite fields must always name the same one
+// (the first in declaration order), not whichever a map iteration hits.
+func TestValidateNamesFirstNonFiniteField(t *testing.T) {
+	for i := 0; i < 100; i++ {
+		g := line("t")
+		g.Vertices[2].Demand = math.Inf(1)
+		g.Vertices[2].Price = math.NaN()
+		err := g.Validate()
+		if err == nil || !strings.HasSuffix(err.Error(), `vertex "load" has non-finite demand`) {
+			t.Fatalf("run %d: Validate = %v, want the demand field named", i, err)
+		}
+	}
+}
+
+// Duplicate IDs and endpoints that are not vertices are still caught when
+// the slices are edited directly after the index was built.
+func TestValidateDetectsEditsAfterIndexing(t *testing.T) {
+	cases := map[string]func(*Graph){
+		"duplicate vertex": func(g *Graph) { g.Vertices = append(g.Vertices, Vertex{ID: "hub"}) },
+		"duplicate edge": func(g *Graph) {
+			g.Edges = append(g.Edges, Edge{ID: "g-h", From: "gen", To: "load", Capacity: 1})
+		},
+		"renamed vertex": func(g *Graph) { g.Vertices[1].ID = "elsewhere" },
+	}
+	for name, mutate := range cases {
+		g := line("t")
+		if err := g.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		mutate(g)
+		if err := g.Validate(); !errors.Is(err, ErrValidation) {
+			t.Errorf("%s: Validate = %v, want ErrValidation", name, err)
+		}
+	}
+}
+
+func TestValidateAllocationFree(t *testing.T) {
+	built := line("t")
+	var decoded Graph
+	data, err := json.Marshal(built)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &decoded); err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range map[string]*Graph{"built": built, "decoded": &decoded, "cloned": built.Clone()} {
+		if err := g.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if n := testing.AllocsPerRun(100, func() { _ = g.Validate() }); n != 0 {
+			t.Errorf("%s: Validate allocates %v times per call, want 0", name, n)
+		}
+	}
+}
+
 func TestCheckAdequacy(t *testing.T) {
 	g := line("t")
 	if err := g.CheckAdequacy(); err != nil {

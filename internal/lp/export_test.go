@@ -18,6 +18,20 @@ func SetRevisedFinishMaxRows(n int) int {
 	return old
 }
 
+// SetPricingCheck makes every pivot of the bounded simplex call f with the
+// reduced-cost row the tableau carries, a fresh pricing of the same state,
+// and the objective being minimized. It returns a function that restores
+// the previous hook. Tests must not run in parallel while it is set.
+func SetPricingCheck(f func(incremental, full, c []float64)) (restore func()) {
+	old := afterPivotHook
+	afterPivotHook = func(t *boundedTableau, c []float64) {
+		full := make([]float64, t.nTotal)
+		t.priceInto(full, c)
+		f(t.rc[:t.nTotal], full, c[:t.nTotal])
+	}
+	return func() { afterPivotHook = old }
+}
+
 // GenRandomProblem builds seeded random LP #seed for the differential
 // battery: 1–16 variables (a mix of boxed and free-above), 0–12 rows across
 // all three senses with both RHS signs, occasional duplicate coefficients

@@ -1,7 +1,8 @@
 // Telemetry instruments for the simplex layer. Counters are registered once
 // at init and updated with single atomic adds at solve exit, so the pivot
-// loops themselves stay untouched; only cycling-rule switches are counted
-// in-loop (they fire at most once per simplex call).
+// loops themselves stay untouched; only cycling-rule switches (at most once
+// per simplex call) and full re-pricings (each an O(m·n) pass) are counted
+// in-loop.
 package lp
 
 import (
@@ -19,6 +20,13 @@ var (
 	mBlandRestarts = telemetry.NewCounter("lp.bland_restarts")
 	mFallbacks     = telemetry.NewCounter("lp.fallbacks")
 	mPivotsHist    = telemetry.NewHistogram("lp.pivots_per_solve", telemetry.WorkEdges)
+
+	// Full re-pricings of the bounded tableau's reduced-cost row: one on
+	// entry to each simplex phase plus one per optimality check that
+	// follows a pivot. Every other pivot updates the row incrementally, so
+	// lp.pivots ÷ lp.pricing_full is how many pivots each O(m·n) pricing
+	// pass was spread over.
+	mPricingFull = telemetry.NewCounter("lp.pricing_full")
 
 	// Warm-start attribution: attempts = solves entered with a basis,
 	// solves = attempts that finished on the warm path, fallbacks =
