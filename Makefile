@@ -79,6 +79,7 @@ fuzz-smoke:
 	$(GO) test ./internal/lp/ -run=^$$ -fuzz=FuzzWarmStart -fuzztime=5s
 	$(GO) test ./internal/lp/ -run=^$$ -fuzz=FuzzRevisedSimplex -fuzztime=5s
 	$(GO) test ./internal/screen/ -run=^$$ -fuzz=FuzzScreenPrune -fuzztime=5s
+	$(GO) test ./internal/adversary/ -run=^$$ -fuzz=FuzzAdversaryExact -fuzztime=5s
 
 # Revised-vs-dense differential smoke: the dense-oracle battery (fixtures,
 # outage sweeps, seeded random LPs, error taxonomy) plus the golden Fig. 5

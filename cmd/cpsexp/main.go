@@ -361,9 +361,14 @@ func main() {
 		}
 	}
 
+	// Answer quality per figure: how many SA plans each figure solved and
+	// how many of them ended unproven at the node cap.
+	saSolves := telemetry.Default().Counter("adversary.solves")
+	saUnproven := telemetry.Default().Counter("adversary.unproven_exits")
 	var csvOutputs []string
 	for fi, f := range order {
 		start := time.Now()
+		solves0, unproven0 := saSolves.Value(), saUnproven.Value()
 		tb, err := runners[f](cfg)
 		if err != nil {
 			if sr != nil {
@@ -376,7 +381,8 @@ func main() {
 		if sr != nil {
 			continue // a shard's product is its journal, not tables
 		}
-		cli.MustPrintf("%s\n(%.1fs)\n\n", tb.Render(), time.Since(start).Seconds())
+		cli.MustPrintf("%s\n(%.1fs, SA solves %d, unproven %d)\n\n", tb.Render(), time.Since(start).Seconds(),
+			saSolves.Value()-solves0, saUnproven.Value()-unproven0)
 		if *chart {
 			cli.MustPrintln(tb.Chart(72, 18))
 		}

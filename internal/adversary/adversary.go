@@ -8,11 +8,13 @@
 //
 // (the paper's Eq. 8–11). For any fixed T the optimal A is closed-form —
 // include actor j iff its captured sum is positive — so target selection
-// reduces to a set search, which Plan solves exactly by depth-first branch
-// and bound with a subadditive upper bound, falling back to the greedy
-// incumbent if the node budget is exhausted. PlanGreedy exposes the greedy
-// heuristic directly, and PlanMILP solves the textbook linearization on the
-// generic MILP engine as a correctness oracle.
+// reduces to a set search, which Solve solves exactly by depth-first branch
+// and bound. Its bound is per actor and budget-aware: each actor can gain at
+// most the largest positive tail impacts the remaining budget affords (see
+// tailBound), so plans are proven optimal, as the paper's MILP plans are.
+// SolveGreedy exposes the greedy incumbent directly, and SolveMILP solves
+// the textbook linearization on the generic MILP engine as a correctness
+// oracle.
 package adversary
 
 import (
@@ -60,8 +62,9 @@ type Config struct {
 	Targets []Target
 	// Budget is MA, the maximum total attack expenditure.
 	Budget float64
-	// MaxNodes caps the exact search (default 2_000_000 nodes); on
-	// exhaustion the best incumbent found so far (at least as good as
+	// MaxNodes is a safety net on the exact search (default 2_000_000
+	// nodes). The paper's instances finish far below it; if a search ever
+	// exhausts it, the best incumbent found so far (at least as good as
 	// greedy) is returned with Proven=false.
 	MaxNodes int
 	// Ctx, when non-nil, is checked every CheckEvery search nodes;
@@ -128,8 +131,9 @@ type instance struct {
 	actors []string
 	// im[j][i] = IM[actor j][target i] · Ps(i)
 	im [][]float64
-	// opt[i] = Σ_j max(0, im[j][i]) − cost[i], the subadditive
-	// optimistic net value of target i.
+	// opt[i] = Σ_j max(0, im[j][i]) − cost[i], the optimistic net value
+	// of target i alone. It orders the search and seeds greedy; the screen
+	// filter drops a target only when it is negative.
 	opt    []float64
 	budget float64
 }
@@ -206,6 +210,89 @@ func (in *instance) searchOrder(cfg Config) []int {
 	return kept
 }
 
+// tailBound is the exact search's upper bound. At a node that has chosen
+// the set S, spent `spent` and may still add targets from order[k:], every
+// reachable set S∪T is worth at most
+//
+//	negCost(S) + Σ_j max(0, s_j + top_j(k, r))
+//
+// where s_j is actor j's captured sum over S, r bounds |T| by what the
+// remaining budget buys at the cheapest tail price, and top_j(k, r) is the
+// sum of the r largest positive entries of actor j's row over order[k:].
+// It is sound because costs are non-negative, so T only lowers negCost, and
+// Σ_{t∈T} im[j][t] ≤ top_j(k, |T|) ≤ top_j(k, r) for every actor.
+type tailBound struct {
+	budget float64
+	n, nA  int
+	// w = rmax+1, where rmax is the cardinality the full budget affords.
+	w int
+	// minCost[k] is the cheapest cost in order[k:] (+Inf past the end).
+	minCost []float64
+	// top[(k·nA+j)·w + r] = top_j(k, r).
+	top []float64
+}
+
+// newTailBound precomputes the bound tables for one search order in a
+// right-to-left sweep: the r largest positive entries of a tail either
+// include its first entry v or not, so top_j(k, r) = max(top_j(k+1, r),
+// top_j(k+1, r−1) + v).
+func (in *instance) newTailBound(order []int) *tailBound {
+	n, nA := len(order), len(in.actors)
+	b := &tailBound{budget: in.budget, n: n, nA: nA, w: n + 1, minCost: make([]float64, n+1)}
+	b.minCost[n] = math.Inf(1)
+	for k := n - 1; k >= 0; k-- {
+		b.minCost[k] = math.Min(b.minCost[k+1], in.cost[order[k]])
+	}
+	b.w = b.affordable(0, 0) + 1 // w starts uncapped, so this is rmax+1
+	b.top = make([]float64, (n+1)*nA*b.w)
+	for k := n - 1; k >= 0; k-- {
+		for j := 0; j < nA; j++ {
+			next := b.top[((k+1)*nA+j)*b.w:][:b.w]
+			row := b.top[(k*nA+j)*b.w:][:b.w]
+			copy(row, next)
+			if v := in.im[j][order[k]]; v > 0 {
+				for r := 1; r < b.w; r++ {
+					row[r] = math.Max(row[r], next[r-1]+v)
+				}
+			}
+		}
+	}
+	return b
+}
+
+// affordable bounds how many targets of order[k:] a node that has spent
+// `spent` can still add: the remaining budget over the cheapest tail cost,
+// capped at the tail length (a zero-cost tail is unbounded) and at rmax. The
+// search admits a target while spent+cost ≤ budget+1e-12, and the relative
+// slack keeps round-off in the quotient from dropping one; a larger count
+// only loosens the bound.
+func (b *tailBound) affordable(k int, spent float64) int {
+	r := min(b.n-k, b.w-1)
+	if c := b.minCost[k]; c > 0 {
+		if f := (b.budget + 1e-12 - spent) / c * (1 + 1e-9); f < float64(r) {
+			r = int(math.Max(f, 0))
+		}
+	}
+	return r
+}
+
+// upper returns the bound for a node with running cost total negCost,
+// per-actor running sums s, next candidate position k and spend spent.
+func (b *tailBound) upper(negCost float64, s []float64, k int, spent float64) float64 {
+	at := k*b.nA*b.w + b.affordable(k, spent)
+	ub := negCost
+	for j, sj := range s {
+		if x := sj + b.top[at+j*b.w]; x > 0 {
+			ub += x
+		}
+	}
+	return ub
+}
+
+// nodeBoundHook, when set by a test, sees every bound the search computes:
+// the node's chosen set, the candidates it may still add, its spend and ub.
+var nodeBoundHook func(in *instance, set, tail []int, spent, ub float64)
+
 // value computes the exact objective of a target set (indices) with the
 // closed-form optimal actor choice, returning the value and chosen actors.
 func (in *instance) value(set []int) (float64, []int) {
@@ -268,17 +355,7 @@ func Solve(cfg Config) (plan *Plan, err error) {
 		bestVal, bestSet = 0, nil
 	}
 
-	// Suffix sums of positive optimistic values for bounding: ubTail[k]
-	// bounds the value addable by targets order[k:] ignoring budget.
-	ubTail := make([]float64, len(order)+1)
-	for k := len(order) - 1; k >= 0; k-- {
-		v := in.opt[order[k]]
-		if v < 0 {
-			v = 0
-		}
-		ubTail[k] = ubTail[k+1] + v
-	}
-
+	bnd := in.newTailBound(order)
 	nodes := 0
 	exhausted := false
 	var abortErr error
@@ -324,8 +401,8 @@ func Solve(cfg Config) (plan *Plan, err error) {
 		return obj
 	}
 
-	var dfs func(k int, spent float64, curOpt float64)
-	dfs = func(k int, spent float64, curOpt float64) {
+	var dfs func(k int, spent float64)
+	dfs = func(k int, spent float64) {
 		if exhausted {
 			return
 		}
@@ -356,8 +433,14 @@ func Solve(cfg Config) (plan *Plan, err error) {
 		if k >= len(order) {
 			return
 		}
-		// Bound: optimistic value of chosen ∪ best possible tail.
-		if curOpt+ubTail[k] <= bestVal+1e-12 {
+		// Bound: no extension of cur by targets order[k:] can beat ub. The
+		// relative slack keeps round-off in ub from pruning a subtree that
+		// holds a strict improvement.
+		ub := bnd.upper(negCost[depth], sums[depth], k, spent)
+		if nodeBoundHook != nil {
+			nodeBoundHook(in, cur, order[k:], spent, ub)
+		}
+		if ub+1e-9*math.Max(1, math.Abs(ub)) <= bestVal+1e-12 {
 			return
 		}
 		i := order[k]
@@ -365,14 +448,14 @@ func Solve(cfg Config) (plan *Plan, err error) {
 		if spent+in.cost[i] <= in.budget+1e-12 {
 			cur = append(cur, i)
 			push(i)
-			dfs(k+1, spent+in.cost[i], curOpt+math.Max(in.opt[i], 0)+math.Min(in.opt[i], 0))
+			dfs(k+1, spent+in.cost[i])
 			pop()
 			cur = cur[:len(cur)-1]
 		}
 		// Branch 2: exclude target i.
-		dfs(k+1, spent, curOpt)
+		dfs(k+1, spent)
 	}
-	dfs(0, 0, 0)
+	dfs(0, 0)
 	if abortErr != nil {
 		return nil, abortErr
 	}
