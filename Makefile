@@ -31,9 +31,6 @@ bench:
 bench-warm:
 	BENCH_WARM_OUT=BENCH_warmstart.json $(GO) test -run '^TestBenchWarmstart$$' -count=1 -v .
 
-# Shard-merge throughput report: times the full merge path (discovery,
-# CRC/partition validation, replay union) over an 8-way fleet and writes
-# BENCH_shard.json pairing ns/op with the merge validation counters.
 # Revised-simplex speedup report: benchmarks the sparse revised simplex
 # against the dense oracle on the dispatch and national-scale instances and
 # writes BENCH_revised.json pairing ns/op with the lp.revised.* pivot and
@@ -41,6 +38,9 @@ bench-warm:
 bench-revised:
 	BENCH_REVISED_OUT=BENCH_revised.json $(GO) test -run '^TestBenchRevised$$' -count=1 -v .
 
+# Shard-merge throughput report: times the full merge path (discovery,
+# CRC/partition validation, replay union) over an 8-way fleet and writes
+# BENCH_shard.json pairing ns/op with the merge validation counters.
 bench-shard:
 	BENCH_SHARD_OUT=BENCH_shard.json $(GO) test -run '^TestBenchShard$$' -count=1 -v .
 
@@ -82,11 +82,10 @@ fuzz-smoke:
 	$(GO) test ./internal/adversary/ -run=^$$ -fuzz=FuzzAdversaryExact -fuzztime=5s
 
 # Revised-vs-dense differential smoke: the dense-oracle battery (fixtures,
-# outage sweeps, seeded random LPs, error taxonomy) plus the golden Fig. 5
-# byte-identity check under -lp-method=revised. Part of ci.
+# outage sweeps, seeded random LPs, error taxonomy) on the sparse solver.
+# Part of ci.
 revised-smoke:
 	$(GO) test ./internal/lp/ -run 'TestRevisedVsDenseDifferential|TestRevisedWarmAcrossMethods' -count=1
-	$(GO) test -run '^TestGoldenFig5Revised$$' -count=1 .
 
 # Crash-resume acceptance: a sweep killed mid-run and resumed from its
 # journal — including over a deliberately torn journal tail — must render

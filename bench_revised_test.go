@@ -42,8 +42,9 @@ func benchNationalDispatch(b *testing.B, regions int, m lp.Method) {
 }
 
 // BenchmarkRevisedSimplex dispatches the stressed six-state evaluation
-// model with the revised method — the production small-instance path,
-// which the dense crossover delegates to the dense bounded solver.
+// model with the sparse revised simplex. MethodAuto solves this 56-row LP
+// with the dense bounded tableau; the entry shows what the sparse solver
+// costs below the crossover.
 func BenchmarkRevisedSimplex(b *testing.B) {
 	g := westgrid.Build(westgrid.Options{Stress: true})
 	b.ResetTimer()

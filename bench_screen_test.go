@@ -19,7 +19,6 @@ import (
 	"cpsguard/internal/atomicio"
 	"cpsguard/internal/gridgen"
 	"cpsguard/internal/impact"
-	"cpsguard/internal/lp"
 	"cpsguard/internal/rng"
 	"cpsguard/internal/screen"
 	"cpsguard/internal/solvecache"
@@ -58,7 +57,6 @@ func screenBenchInstance(tb testing.TB) (*impact.Analysis, []string) {
 		Ownership: actors.RandomOwnership(g, 4, rng.Derive(3, 0x5C12)),
 		Cache:     solvecache.New(16384),
 		WarmStart: true,
-		LPMethod:  lp.MethodRevised,
 	}
 	return an, corridor[:screenBenchTargets]
 }
@@ -100,9 +98,9 @@ func TestBenchScreen(t *testing.T) {
 	reg.Reset()
 
 	report := benchTelemetryReport{
-		Schema:     benchSchema,
-		GoVersion:  runtime.Version(),
-		Platform:   runtime.GOOS + "/" + runtime.GOARCH,
+		Schema:    benchSchema,
+		GoVersion: runtime.Version(),
+		Platform:  runtime.GOOS + "/" + runtime.GOARCH,
 		Benchmarks: map[string]benchTelemetryEntry{
 			"ScreenNational": {
 				Iterations:  r.N,

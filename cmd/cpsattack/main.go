@@ -17,7 +17,6 @@ import (
 	"cpsguard/internal/adversary"
 	"cpsguard/internal/cli"
 	"cpsguard/internal/core"
-	"cpsguard/internal/lp"
 	"cpsguard/internal/obs"
 	"cpsguard/internal/parallel"
 	"cpsguard/internal/rng"
@@ -38,18 +37,12 @@ func main() {
 	solveCache := flag.Int("solve-cache", 0, "memoize dispatch solves in an N-entry LRU cache (0 = off); results are unchanged")
 	warmStart := flag.Bool("warm-start", false, "warm-start perturbed dispatch solves from the baseline basis")
 	screenK := flag.Int("screen-k", 0, "N-k vulnerability screening depth: prints the worst contingencies and accelerates the adversary search (0 = off; the plan is byte-identical either way)")
-	lpMethod := flag.String("lp-method", "auto", "dispatch simplex implementation: auto, dense, rows, bounded, or revised")
 	flag.Parse()
 
 	logger := obs.New("cpsattack", obs.Sink{W: os.Stderr, Format: obs.Text, Min: obs.LevelInfo})
 	fatal := func(err error) {
 		logger.Error("fatal", obs.F("err", err))
 		os.Exit(1)
-	}
-
-	method, err := lp.ParseMethod(*lpMethod)
-	if err != nil {
-		fatal(err)
 	}
 
 	stopDebug := cli.StartDebug(*debugAddr, logger)
@@ -67,7 +60,6 @@ func main() {
 	s.Targets = adversary.UniformTargets(g.AssetIDs(), *catk, *ps)
 	s.Cache = solvecache.New(*solveCache)
 	s.WarmStart = *warmStart
-	s.LPMethod = method
 	s.ScreenK = *screenK
 	defer func() {
 		if st := s.Cache.Stats(); st.Capacity > 0 {
@@ -99,7 +91,7 @@ func main() {
 	}
 	plan, err := adversary.SolveResilient(adversary.Config{
 		Matrix: view, Targets: s.Targets, Budget: *budget,
-		Ctx: ctx, LPMethod: method, Screen: rank,
+		Ctx: ctx, Screen: rank,
 	})
 	if err != nil {
 		cli.ExitCanceled(ctx, err, "impact matrices done; interrupted during the target-selection search")

@@ -77,7 +77,6 @@ import (
 	"cpsguard/internal/experiments"
 	"cpsguard/internal/faultinject"
 	"cpsguard/internal/gridgen"
-	"cpsguard/internal/lp"
 	"cpsguard/internal/obs"
 	"cpsguard/internal/parallel"
 	"cpsguard/internal/shard"
@@ -118,7 +117,6 @@ func main() {
 	interventions := flag.Bool("interventions", false, "run the defense-as-redesign sweep (equivalent to -fig interventions)")
 	solveCache := flag.Int("solve-cache", 0, "share an N-entry LRU dispatch-solve memo across all trials (0 = off); results are unchanged")
 	warmStart := flag.Bool("warm-start", false, "warm-start perturbed dispatch solves from each scenario's baseline basis")
-	lpMethod := flag.String("lp-method", "auto", "dispatch simplex implementation: auto, dense, rows, bounded, or revised")
 	shardSpec := flag.String("shard", "", "run only shard i/n of the sweep (0-based, e.g. 0/4), journaling into -shard-dir")
 	shardDir := flag.String("shard-dir", "shards", "parent directory for per-shard journals, manifests, and snapshots")
 	shardSupervise := flag.Int("shard-supervise", 0, "run the sweep as n supervised child-process shards into -shard-dir")
@@ -129,11 +127,6 @@ func main() {
 	flag.Parse()
 
 	lvl, err := obs.ParseLevel(*logLevel)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cpsexp: %v\n", err)
-		os.Exit(exitUsage)
-	}
-	method, err := lp.ParseMethod(*lpMethod)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cpsexp: %v\n", err)
 		os.Exit(exitUsage)
@@ -234,7 +227,6 @@ func main() {
 		Log:       logger,
 		Cache:     cache,
 		WarmStart: *warmStart,
-		LPMethod:  method,
 		ScreenK:   *screenK,
 	}
 	// grid is the effective system whether or not -grid was given, so the
@@ -404,7 +396,7 @@ func main() {
 	// run's other artifacts so cpsreport can render it. The ranking is the
 	// same deterministic screen every trial scenario reuses internally.
 	if *screenK > 0 && *obsDir != "" && sr == nil {
-		data, err := screenArtifact(grid, *screenK, *seed, cache, method)
+		data, err := screenArtifact(grid, *screenK, *seed, cache)
 		if err != nil {
 			fatal(fmt.Errorf("screen artifact: %w", err))
 		}

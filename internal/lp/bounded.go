@@ -1,34 +1,33 @@
 // Bounded-variable primal simplex.
 //
-// The default solver (lp.go) lowers every finite upper bound onto an
-// explicit ≤ row, which keeps the pivot logic textbook-simple but grows the
-// basis by one row per bound. Energy dispatch LPs are bound-dominated —
-// every flow, generation and load variable is boxed — so this file provides
-// the classic bounded-variable simplex in which nonbasic variables may sit
-// at either bound and bound-to-bound "flips" avoid pivots entirely. On the
-// six-state model it shrinks the basis from ~150 rows to ~50 and the
-// speedup is measured by BenchmarkLPMethods (ablation in DESIGN.md §6).
+// The explicit-rows solver (lp.go, MethodRows) lowers every finite upper
+// bound onto an explicit ≤ row, which keeps the pivot logic textbook-simple
+// but grows the basis by one row per bound. Energy dispatch LPs are
+// bound-dominated — every flow, generation and load variable is boxed — so
+// this file provides the classic bounded-variable simplex in which
+// nonbasic variables may sit at either bound and bound-to-bound "flips"
+// avoid pivots entirely. On the six-state model it shrinks the basis from
+// ~150 rows to ~50; BenchmarkLPMethodRows and BenchmarkLPMethodBounded
+// measure the difference.
 //
-// Select it with Options{Method: MethodBounded}. Results (objective,
-// primal values, row duals, bound duals) agree with the default method to
-// solver tolerance; the cross-check is TestMethodsAgree in bounded_test.go.
+// MethodAuto runs this solver on every problem up to denseMaxRows
+// constraint rows. Results (objective, primal values, row duals, bound
+// duals) agree with MethodRows to solver tolerance; the cross-check is
+// TestMethodsAgree in bounded_test.go.
 package lp
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Method selects the simplex implementation.
 type Method int8
 
 const (
-	// MethodAuto (the zero value) picks MethodBounded for bound-dominated
-	// problems (at least 8 finite upper bounds and more bounds than
-	// constraint rows) and MethodRows otherwise.
+	// MethodAuto (the zero value) picks MethodBounded up to
+	// denseMaxRows constraint rows and MethodRevised above.
 	MethodAuto Method = iota
-	// MethodRows lowers upper bounds onto explicit rows (the most
-	// battle-tested path; quadratically slower when bounds dominate).
+	// MethodRows lowers upper bounds onto explicit rows. MethodAuto never
+	// picks it; it is the independent reference the bounded solver is
+	// tested against.
 	MethodRows
 	// MethodBounded keeps upper bounds implicit in the pivot rules
 	// (smaller basis and incrementally updated reduced costs; ~30× faster
@@ -41,11 +40,6 @@ const (
 	// method that scales to the national gridgen tier.
 	MethodRevised
 )
-
-// MethodDense is an alias for MethodAuto: the dense solver family (rows or
-// bounded tableau, auto-selected). It names the differential oracle the
-// revised method is tested against.
-const MethodDense = MethodAuto
 
 // String implements fmt.Stringer.
 func (m Method) String() string {
@@ -63,31 +57,22 @@ func (m Method) String() string {
 	}
 }
 
-// ParseMethod maps a CLI flag value to a Method. The empty string, "auto"
-// and "dense" all select the dense auto-picked family.
-func ParseMethod(s string) (Method, error) {
-	switch s {
-	case "", "auto", "dense":
-		return MethodAuto, nil
-	case "rows":
-		return MethodRows, nil
-	case "bounded":
-		return MethodBounded, nil
-	case "revised":
-		return MethodRevised, nil
-	}
-	return MethodAuto, fmt.Errorf("lp: unknown method %q (want auto|dense|rows|bounded|revised)", s)
-}
+// denseMaxRows is the dense/sparse crossover: MethodAuto runs the dense
+// bounded tableau at or below this many constraint rows and the sparse
+// revised simplex above it, where the tableau's O(m·nTotal) pivots start
+// to dominate. Every paper figure stays below it.
+const denseMaxRows = 512
 
-// resolve maps MethodAuto to a concrete method for problem p.
+// resolve maps MethodAuto to a concrete method for problem p. It is the
+// only place the solver is chosen by problem size.
 func (m Method) resolve(p *Problem) Method {
 	if m != MethodAuto {
 		return m
 	}
-	if p.bounds >= 8 && p.bounds > len(p.rows) {
-		return MethodBounded
+	if len(p.rows) > denseMaxRows {
+		return MethodRevised
 	}
-	return MethodRows
+	return MethodBounded
 }
 
 // nonbasic status markers.

@@ -8,16 +8,6 @@ import (
 	"cpsguard/internal/rng"
 )
 
-// SetRevisedFinishMaxRows overrides the dense crossover and returns the
-// previous value. Tests pass -1 to force the sparse solver on instances of
-// every size (otherwise small problems are delegated to the dense bounded
-// solver), and must restore the old value when done.
-func SetRevisedFinishMaxRows(n int) int {
-	old := revisedFinishMaxRows
-	revisedFinishMaxRows = n
-	return old
-}
-
 // SetPricingCheck makes every pivot of the bounded simplex call f with the
 // reduced-cost row the tableau carries, a fresh pricing of the same state,
 // and the objective being minimized. It returns a function that restores

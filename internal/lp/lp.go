@@ -14,10 +14,14 @@
 //	subject to aᵢᵀx {≤,=,≥} bᵢ   for each constraint i
 //	           0 ≤ xⱼ ≤ uⱼ       for each variable j (uⱼ may be +Inf)
 //
-// Upper bounds are lowered onto explicit ≤ rows internally, which keeps the
-// pivot logic to the textbook standard form and makes every bound visible to
-// the dual extraction (the duals of bound rows are the reduced-cost rents
-// used by the marginal-cost profit division in package actors).
+// Three implementations share this interface (Options.Method). By default
+// (Method.resolve) problems with up to a few hundred constraint rows run the
+// bounded-variable dense tableau (bounded.go) and larger ones the sparse
+// revised simplex (revised.go). MethodRows, in this file, lowers upper
+// bounds onto explicit ≤ rows, which keeps the pivot logic to the textbook
+// standard form; it is the reference the bounded tableau is tested against.
+// Every method reports bound duals (the reduced-cost rents used by the
+// marginal-cost profit division in package actors) alongside the row duals.
 package lp
 
 import (
@@ -233,7 +237,8 @@ type Options struct {
 	Tol float64
 	// MaxIter caps total pivots (default 50·(m+n), at least 10_000).
 	MaxIter int
-	// Method selects the simplex implementation (default MethodRows).
+	// Method selects the simplex implementation (default MethodAuto, which
+	// picks by problem size; see Method.resolve).
 	Method Method
 	// SkipDuals skips dual extraction. Use for formulations with split
 	// free variables (x = x⁺ − x⁻), where both halves can legitimately

@@ -18,24 +18,13 @@
 // of the accumulated tableau). Sparse arithmetic therefore agrees with the
 // oracle to 1e-9 but not to the last ulp — refactorization rounds
 // differently than accumulated pivoting, the same reason §12 calls warm
-// starts tolerance-pure. Byte-identity on small instances is achieved the
-// only way it can be: problems at or below revisedFinishMaxRows are routed
-// to the dense bounded solver outright (the sparse machinery has nothing
-// to win there anyway), which is what lets -lp-method=revised reproduce
-// the golden fixture bit for bit (TestGoldenFig5Revised). Above the
-// crossover the solve and its extraction are fully sparse and agreement is
-// 1e-9-differential, proven by TestRevisedVsDenseDifferential.
+// starts tolerance-pure. MethodAuto only picks this solver above the dense
+// crossover (Method.resolve), so the paper figures stay on the dense path;
+// an explicit MethodRevised runs the sparse solve and extraction at every
+// size, and TestRevisedVsDenseDifferential proves the 1e-9 agreement.
 package lp
 
 import "math"
-
-// revisedFinishMaxRows is the dense crossover: at or below this many
-// constraint rows MethodRevised delegates the whole solve to the dense
-// bounded solver (byte-identical results to MethodBounded by construction;
-// dense is at least as fast at these sizes); above it, the sparse solver
-// runs end to end. A package variable so the differential battery can force
-// the sparse path on instances of every size.
-var revisedFinishMaxRows = 512
 
 const (
 	// revisedPartialPricingMin is the column count above which pricing
@@ -81,13 +70,6 @@ type revisedSolver struct {
 // solveRevised is the entry point used by Problem.SolveOpts for
 // MethodRevised.
 func solveRevised(p *Problem, opts Options, g *guard) (*Solution, error) {
-	// Below the dense crossover the dense bounded solver is at least as
-	// fast and is the byte-identity oracle; hand it the whole solve (warm
-	// basis and all — the column layouts match by construction).
-	if len(p.rows) <= revisedFinishMaxRows {
-		mRevDenseFinishes.Inc()
-		return solveBounded(p, opts, g)
-	}
 	mRevSolves.Inc()
 	if opts.WarmStart != nil {
 		if sol, err, ok := solveRevisedWarm(p, opts, g); ok {

@@ -3,14 +3,16 @@
 // External test package: it drives the revised method through the real
 // dispatch pipeline (graph fixtures → flow LPs) as well as seeded random
 // LPs, comparing every observable — status, objective, primal values, duals
-// — against the dense bounded method, with the sparse extraction path
-// forced via the export_test hook so the battery exercises the code the
-// national-scale tier runs, not the dense-finish shortcut.
+// — against the dense bounded method. An explicit MethodRevised runs the
+// sparse solver at every size, and every comparison asserts through the
+// lp.revised.solves counter that it did, so the battery exercises the code
+// the national-scale tier runs.
 package lp_test
 
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -20,11 +22,23 @@ import (
 	"cpsguard/internal/flow"
 	"cpsguard/internal/graph"
 	"cpsguard/internal/lp"
+	"cpsguard/internal/telemetry"
 )
 
 // diffTol is the agreement tolerance the battery asserts: absolute at small
 // scale, relative once values reach the model's magnitudes.
 const diffTol = 1e-9
+
+// revisedSolves moves once per solve that ran the sparse revised simplex.
+var revisedSolves = telemetry.Default().Counter("lp.revised.solves")
+
+// requireSparse fails t unless the sparse solver ran since before.
+func requireSparse(t *testing.T, label string, before int64) {
+	t.Helper()
+	if revisedSolves.Value() == before {
+		t.Fatalf("%s: MethodRevised did not run the sparse solver", label)
+	}
+}
 
 func agree(a, b float64) bool {
 	scale := math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
@@ -72,14 +86,16 @@ func sortedNames(grids map[string]*graph.Graph) []string {
 // asserts full agreement of the dispatch observables.
 func compareDispatch(t *testing.T, label string, g *graph.Graph) {
 	t.Helper()
-	dense, err := flow.DispatchOpts(g, flow.Options{LP: lp.Options{Method: lp.MethodDense}})
+	dense, err := flow.DispatchOpts(g, flow.Options{LP: lp.Options{Method: lp.MethodBounded}})
 	if err != nil {
 		t.Fatalf("%s: dense: %v", label, err)
 	}
+	before := revisedSolves.Value()
 	rev, err := flow.DispatchOpts(g, flow.Options{LP: lp.Options{Method: lp.MethodRevised}})
 	if err != nil {
 		t.Fatalf("%s: revised: %v", label, err)
 	}
+	requireSparse(t, label, before)
 	if !agree(dense.Welfare, rev.Welfare) {
 		t.Errorf("%s: welfare %v (dense) vs %v (revised)", label, dense.Welfare, rev.Welfare)
 	}
@@ -107,11 +123,8 @@ func compareDispatch(t *testing.T, label string, g *graph.Graph) {
 
 // TestRevisedVsDenseDifferential is the acceptance battery: grid fixtures,
 // full single-edge outage sweeps, ≥200 seeded random LPs, and the
-// SolveError/status taxonomy, all under the forced sparse extraction path.
+// SolveError/status taxonomy, all on the sparse solve and extraction path.
 func TestRevisedVsDenseDifferential(t *testing.T) {
-	old := lp.SetRevisedFinishMaxRows(-1)
-	defer lp.SetRevisedFinishMaxRows(old)
-
 	t.Run("fixtures", func(t *testing.T) {
 		grids := loadGrids(t)
 		for _, name := range sortedNames(grids) {
@@ -139,8 +152,10 @@ func TestRevisedVsDenseDifferential(t *testing.T) {
 		optimal, other := 0, 0
 		for seed := uint64(0); seed < 250; seed++ {
 			p := lp.GenRandomProblem(seed)
-			dense, errD := p.SolveOpts(lp.Options{Method: lp.MethodDense})
+			dense, errD := p.SolveOpts(lp.Options{Method: lp.MethodBounded})
+			before := revisedSolves.Value()
 			rev, errR := lp.GenRandomProblem(seed).SolveOpts(lp.Options{Method: lp.MethodRevised})
+			requireSparse(t, fmt.Sprintf("seed %d", seed), before)
 			if (errD == nil) != (errR == nil) {
 				// Dual-extraction singularities may be basis-dependent;
 				// only a one-sided *solve* failure is a bug.
@@ -177,7 +192,7 @@ func TestRevisedVsDenseDifferential(t *testing.T) {
 	})
 
 	t.Run("taxonomy", func(t *testing.T) {
-		methods := []lp.Method{lp.MethodDense, lp.MethodRevised}
+		methods := []lp.Method{lp.MethodBounded, lp.MethodRevised}
 
 		// Infeasible: upper bound 1 vs a ≥ 2 row.
 		infeasible := func() *lp.Problem {
@@ -195,11 +210,15 @@ func TestRevisedVsDenseDifferential(t *testing.T) {
 			return p
 		}
 		for _, m := range methods {
+			before := revisedSolves.Value()
 			if sol, err := infeasible().SolveOpts(lp.Options{Method: m}); err != nil || sol.Status != lp.Infeasible {
 				t.Errorf("method %v: infeasible LP → status=%v err=%v", m, statusOf(sol), err)
 			}
 			if sol, err := unbounded().SolveOpts(lp.Options{Method: m}); err != nil || sol.Status != lp.Unbounded {
 				t.Errorf("method %v: unbounded LP → status=%v err=%v", m, statusOf(sol), err)
+			}
+			if m == lp.MethodRevised && revisedSolves.Value()-before != 2 {
+				t.Errorf("infeasible/unbounded LPs ran the sparse solver %d times, want 2", revisedSolves.Value()-before)
 			}
 			// Canceled context surfaces as a Canceled status, not an error.
 			ctx, cancel := context.WithCancel(context.Background())
@@ -223,28 +242,29 @@ func statusOf(sol *lp.Solution) lp.Status {
 // boundary: a basis captured by one bounded-layout method warm-starts the
 // other, in both directions, with the optimum agreeing to battery tolerance.
 func TestRevisedWarmAcrossMethods(t *testing.T) {
-	old := lp.SetRevisedFinishMaxRows(-1)
-	defer lp.SetRevisedFinishMaxRows(old)
-
 	grids := loadGrids(t)
 	for _, name := range sortedNames(grids) {
 		g := grids[name]
-		dense, err := flow.DispatchOpts(g, flow.Options{LP: lp.Options{Method: lp.MethodDense}})
+		dense, err := flow.DispatchOpts(g, flow.Options{LP: lp.Options{Method: lp.MethodBounded}})
 		if err != nil {
 			t.Fatal(err)
 		}
+		before := revisedSolves.Value()
 		rev, err := flow.DispatchOpts(g, flow.Options{LP: lp.Options{Method: lp.MethodRevised}})
 		if err != nil {
 			t.Fatal(err)
 		}
+		requireSparse(t, name, before)
 		if dense.Basis == nil || rev.Basis == nil {
 			t.Fatalf("%s: missing exported basis (dense=%v revised=%v)", name, dense.Basis != nil, rev.Basis != nil)
 		}
 		// Dense basis → revised warm solve; revised basis → dense warm.
+		before = revisedSolves.Value()
 		rw, err := flow.DispatchOpts(g, flow.Options{LP: lp.Options{Method: lp.MethodRevised, WarmStart: dense.Basis}})
 		if err != nil {
 			t.Fatalf("%s: revised warm from dense basis: %v", name, err)
 		}
+		requireSparse(t, name+" warm", before)
 		if !rw.WarmStarted {
 			t.Errorf("%s: revised solve from dense basis fell back to cold", name)
 		}

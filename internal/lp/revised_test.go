@@ -8,13 +8,15 @@ import (
 	"cpsguard/internal/rng"
 )
 
-// forceSparseExtract makes the revised method run its sparse solver on
-// instances of every size for the duration of one test.
-func forceSparseExtract(t *testing.T) {
+// checkSparse fails t when m is MethodRevised and the lp.revised.solves
+// counter has not moved since before: an explicit MethodRevised must run
+// the sparse solver, so a revised-vs-dense comparison never degenerates
+// into the dense tableau compared with itself.
+func checkSparse(t *testing.T, m Method, before int64) {
 	t.Helper()
-	old := revisedFinishMaxRows
-	revisedFinishMaxRows = -1
-	t.Cleanup(func() { revisedFinishMaxRows = old })
+	if m == MethodRevised && mRevSolves.Value() == before {
+		t.Fatal("MethodRevised did not run the sparse solver")
+	}
 }
 
 // TestWarmStartDegenerateArtificialBasis is the lp.warm_fallbacks
@@ -40,10 +42,12 @@ func TestWarmStartDegenerateArtificialBasis(t *testing.T) {
 	}
 	for _, m := range []Method{MethodBounded, MethodRevised} {
 		t.Run(m.String(), func(t *testing.T) {
+			before := mRevSolves.Value()
 			cold, err := build().SolveOpts(Options{Method: m})
 			if err != nil {
 				t.Fatal(err)
 			}
+			checkSparse(t, m, before)
 			if cold.Status != Optimal {
 				t.Fatalf("cold status %v", cold.Status)
 			}
@@ -63,10 +67,12 @@ func TestWarmStartDegenerateArtificialBasis(t *testing.T) {
 			if !hasArt {
 				t.Fatal("fixture no longer produces a basic artificial; regression test is vacuous")
 			}
+			before = mRevSolves.Value()
 			warm, err := build().SolveOpts(Options{Method: m, WarmStart: b})
 			if err != nil {
 				t.Fatal(err)
 			}
+			checkSparse(t, m, before)
 			if !warm.WarmStarted {
 				t.Fatal("structurally identical re-solve fell back to the cold path")
 			}
@@ -92,14 +98,18 @@ func TestWarmStartIdenticalResolveNeverFallsBack(t *testing.T) {
 			fellBack := 0
 			for seed := uint64(0); seed < 120; seed++ {
 				p := GenRandomProblem(seed)
+				before := mRevSolves.Value()
 				cold, err := p.SolveOpts(Options{Method: m})
+				checkSparse(t, m, before)
 				if err != nil || cold.Status != Optimal || cold.Basis() == nil {
 					continue
 				}
+				before = mRevSolves.Value()
 				warm, err := GenRandomProblem(seed).SolveOpts(Options{Method: m, WarmStart: cold.Basis()})
 				if err != nil {
 					t.Fatalf("seed %d: warm re-solve error: %v", seed, err)
 				}
+				checkSparse(t, m, before)
 				if !warm.WarmStarted {
 					fellBack++
 					t.Errorf("seed %d: identical re-solve fell back", seed)
@@ -118,7 +128,6 @@ func TestWarmStartIdenticalResolveNeverFallsBack(t *testing.T) {
 // the known optimum (−1/20), on the dense oracle and the revised method
 // alike — including the revised method's sparse extraction path.
 func TestRevisedCyclingBland(t *testing.T) {
-	forceSparseExtract(t)
 	build := func() *Problem {
 		p := NewProblem()
 		x1 := p.AddVariable("x1", -0.75, math.Inf(1))
@@ -131,10 +140,12 @@ func TestRevisedCyclingBland(t *testing.T) {
 	}
 	for _, m := range []Method{MethodBounded, MethodRevised} {
 		for _, bland := range []bool{false, true} {
+			before := mRevSolves.Value()
 			sol, err := build().SolveOpts(Options{Method: m, ForceBland: bland})
 			if err != nil {
 				t.Fatalf("%v bland=%v: %v", m, bland, err)
 			}
+			checkSparse(t, m, before)
 			if sol.Status != Optimal {
 				t.Fatalf("%v bland=%v: status %v", m, bland, sol.Status)
 			}
@@ -148,7 +159,6 @@ func TestRevisedCyclingBland(t *testing.T) {
 // TestRevisedDegeneratePivots drives the revised method through a heavily
 // degenerate vertex (many ties at zero) and cross-checks the dense oracle.
 func TestRevisedDegeneratePivots(t *testing.T) {
-	forceSparseExtract(t)
 	p := func() *Problem {
 		p := NewProblem()
 		x := p.AddVariable("x", -1, 10)
@@ -164,10 +174,12 @@ func TestRevisedDegeneratePivots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	before := mRevSolves.Value()
 	rev, err := p().SolveOpts(Options{Method: MethodRevised})
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkSparse(t, MethodRevised, before)
 	if dense.Status != rev.Status {
 		t.Fatalf("status mismatch: dense %v revised %v", dense.Status, rev.Status)
 	}
@@ -177,8 +189,7 @@ func TestRevisedDegeneratePivots(t *testing.T) {
 }
 
 // FuzzRevisedSimplex cross-checks the revised method against the dense
-// oracle on fuzzer-evolved random LPs, with the sparse extraction path
-// forced, and verifies hostile NaN/Inf inputs are rejected with
+// oracle on fuzzer-evolved random LPs, and verifies hostile NaN/Inf inputs are rejected with
 // ErrBadProblem rather than panicking — the revised analogue of
 // FuzzSolveAgreement + FuzzHostileInputs.
 func FuzzRevisedSimplex(f *testing.F) {
@@ -187,10 +198,6 @@ func FuzzRevisedSimplex(f *testing.F) {
 	f.Add(uint64(42), uint8(0xFF))
 	f.Add(uint64(1234567), uint8(3))
 	f.Fuzz(func(t *testing.T, seed uint64, poison uint8) {
-		old := revisedFinishMaxRows
-		revisedFinishMaxRows = -1
-		defer func() { revisedFinishMaxRows = old }()
-
 		p := GenRandomProblem(seed)
 		if poison != 0 {
 			// Corrupt one numeric field with NaN/±Inf; validation must
@@ -234,7 +241,9 @@ func FuzzRevisedSimplex(f *testing.F) {
 		}
 
 		dense, errD := p.SolveOpts(Options{Method: MethodBounded})
+		before := mRevSolves.Value()
 		rev, errR := p.SolveOpts(Options{Method: MethodRevised})
+		checkSparse(t, MethodRevised, before)
 		if errD != nil || errR != nil {
 			// Reported errors (e.g. singular dual extraction on degenerate
 			// bases) are tolerated; panics are not, and the harness catches

@@ -41,17 +41,14 @@ var (
 
 	// Revised-method attribution: sparse solves entered through
 	// MethodRevised, the factorization/eta/solve work they performed, and
-	// the two dense hand-offs — dense finishes (below-crossover solves
-	// delegated wholesale to the dense bounded solver, the byte-identity
-	// path) and dense fallbacks (numerical failure mid-sparse-solve handed
-	// to the dense method).
+	// dense fallbacks (numerical failure mid-sparse-solve handed to the
+	// dense method).
 	mRevSolves           = telemetry.NewCounter("lp.revised.solves")
 	mRevFactorizations   = telemetry.NewCounter("lp.revised.factorizations")
 	mRevEtaUpdates       = telemetry.NewCounter("lp.revised.eta_updates")
 	mRevRefactorTriggers = telemetry.NewCounter("lp.revised.refactor_triggers")
 	mRevFtranSolves      = telemetry.NewCounter("lp.revised.ftran_solves")
 	mRevBtranSolves      = telemetry.NewCounter("lp.revised.btran_solves")
-	mRevDenseFinishes    = telemetry.NewCounter("lp.revised.dense_finishes")
 	mRevDenseFallbacks   = telemetry.NewCounter("lp.revised.dense_fallbacks")
 
 	mStatus = func() map[Status]*telemetry.Counter {
