@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci vet build test race bench bench-warm bench-revised bench-shard bench-servd bench-obs bench-screen bench-smoke fuzz-smoke revised-smoke crash-resume shard-smoke servd-smoke obs-smoke screen-smoke perfbench-smoke repro clean
+.PHONY: ci vet build test race bench bench-smoke fuzz-smoke revised-smoke crash-resume shard-smoke servd-smoke obs-smoke screen-smoke perfbench-smoke repro clean
 
 ci: vet build race bench-smoke fuzz-smoke revised-smoke crash-resume shard-smoke servd-smoke obs-smoke screen-smoke perfbench-smoke repro
 
@@ -20,48 +20,13 @@ test:
 race:
 	$(GO) test -race -short ./...
 
-# Solver-layer benchmark sweep with telemetry attribution: pairs ns/op with
-# the deterministic work counters (pivots, nodes, evaluations, appends) each
-# workload produced. Output is machine-readable for regression tracking.
+# Micro-benchmark report: runs every root Benchmark* that TestBench lists in
+# one pass and writes the committed BENCH_micro.json, pairing ns/op with the
+# deterministic work counters each benchmark produced, then fails on any
+# speedup or counter-attribution gate. The paper-figure benchmark is
+# perfbench/.
 bench:
-	BENCH_OUT=BENCH_telemetry.json $(GO) test -run '^TestBenchTelemetry$$' -count=1 -v .
-
-# Warm-start and cache speedup report: runs the cold/warm benchmark pairs and
-# writes BENCH_warmstart.json pairing ns/op with warm vs cold pivot counts.
-bench-warm:
-	BENCH_WARM_OUT=BENCH_warmstart.json $(GO) test -run '^TestBenchWarmstart$$' -count=1 -v .
-
-# Revised-simplex speedup report: benchmarks the sparse revised simplex
-# against the dense oracle on the dispatch and national-scale instances and
-# writes BENCH_revised.json pairing ns/op with the lp.revised.* pivot and
-# factorization counters.
-bench-revised:
-	BENCH_REVISED_OUT=BENCH_revised.json $(GO) test -run '^TestBenchRevised$$' -count=1 -v .
-
-# Shard-merge throughput report: times the full merge path (discovery,
-# CRC/partition validation, replay union) over an 8-way fleet and writes
-# BENCH_shard.json pairing ns/op with the merge validation counters.
-bench-shard:
-	BENCH_SHARD_OUT=BENCH_shard.json $(GO) test -run '^TestBenchShard$$' -count=1 -v .
-
-# Service cache-hit throughput report: times the full HTTP round trip of a
-# deduped POST /scenarios (store lookup + artifact digest re-verification)
-# and writes BENCH_servd.json pairing ns/op with the service counters.
-bench-servd:
-	BENCH_SERVD_OUT=BENCH_servd.json $(GO) test -run '^TestBenchServd$$' -count=1 -v .
-
-# Observability-layer report: times the Prometheus exposition render (the
-# per-scrape cost) and the fleet trace merge, writing BENCH_obs.json in the
-# cpsguard-bench/v1 envelope.
-bench-obs:
-	BENCH_OBS_OUT=BENCH_obs.json $(GO) test -run '^TestBenchObs$$' -count=1 -v .
-
-# N-k screening speedup report: benchmarks the depth-2 vulnerability screen
-# of a 64-region national instance and writes BENCH_screen.json pairing
-# ns/op with the screen.* counters; fails unless the dominance rule pruned
-# at least as many contingency sets as it evaluated (≥2x reduction).
-bench-screen:
-	BENCH_SCREEN_OUT=BENCH_screen.json $(GO) test -run '^TestBenchScreen$$' -count=1 -v .
+	BENCH_OUT=BENCH_micro.json $(GO) test -run '^TestBench$$' -count=1 -v .
 
 # One-iteration pass over every benchmark: catches benchmarks that no longer
 # compile or panic, without paying for a timed run. Part of ci.
@@ -171,11 +136,11 @@ repro:
 	@echo "repro: fig2–fig7 byte-identical to results/"
 
 # Remove build and scratch artifacts. The reference CSVs committed under
-# results/ are deliberately preserved: they are reviewed outputs, not
-# build products.
+# results/ and the committed BENCH_micro.json are deliberately preserved:
+# they are reviewed outputs, not build products.
 clean:
 	$(GO) clean ./...
-	rm -f cpsattack cpsdefend cpsexp cpsflow cpsgen cpsservd BENCH_telemetry.json BENCH_warmstart.json BENCH_revised.json BENCH_shard.json BENCH_servd.json BENCH_obs.json BENCH_screen.json
+	rm -f cpsattack cpsdefend cpsexp cpsflow cpsgen cpsservd
 	rm -rf /tmp/cpsguard-shard-smoke /tmp/cpsguard-screen-smoke
 	find . -name '*.journal' -not -path './results/*' -delete
 	find . -name '*.test' -delete

@@ -1,20 +1,13 @@
-// Observability-layer benchmark report: `make bench-obs` runs TestBenchObs
-// with BENCH_OBS_OUT set, which times the Prometheus exposition render (the
-// per-scrape cost every debug-mux scrape pays) and the fleet trace merge,
-// and writes BENCH_obs.json (same cpsguard-bench/v1 envelope as
-// BENCH_telemetry.json) so scrape-path and merge-path regressions land in
-// one reviewable file.
+// Observability-layer benchmarks: the Prometheus exposition render (the
+// per-scrape cost every debug-mux scrape pays) and the fleet trace merge.
+// TestBench (bench_micro_test.go) records them.
 package cpsguard
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"testing"
 	"time"
 
-	"cpsguard/internal/atomicio"
 	"cpsguard/internal/telemetry"
 )
 
@@ -104,44 +97,4 @@ func BenchmarkTraceMerge(b *testing.B) {
 			b.Fatalf("%d unresolved parents", stats.UnresolvedParents)
 		}
 	}
-}
-
-// TestBenchObs is gated by BENCH_OBS_OUT: unset, it skips; set, it runs the
-// observability benchmarks and writes the JSON report to that path.
-func TestBenchObs(t *testing.T) {
-	out := os.Getenv("BENCH_OBS_OUT")
-	if out == "" {
-		t.Skip("set BENCH_OBS_OUT=path to run the observability benchmarks")
-	}
-	report := benchTelemetryReport{
-		Schema:     benchSchema,
-		GoVersion:  runtime.Version(),
-		Platform:   runtime.GOOS + "/" + runtime.GOARCH,
-		Benchmarks: map[string]benchTelemetryEntry{},
-	}
-	for _, bench := range []struct {
-		name string
-		fn   func(*testing.B)
-	}{
-		{"PromExposition", BenchmarkPromExposition},
-		{"TraceMerge", BenchmarkTraceMerge},
-	} {
-		r := testing.Benchmark(bench.fn)
-		report.Benchmarks[bench.name] = benchTelemetryEntry{
-			Iterations:  r.N,
-			NsPerOp:     r.NsPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-		}
-		t.Logf("%s: %d iter, %d ns/op", bench.name, r.N, r.NsPerOp())
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	data = append(data, '\n')
-	if err := atomicio.MkdirAllAndWrite(out, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s (%d bytes)", out, len(data))
 }

@@ -1,28 +1,19 @@
-// N-k screening benchmark report: `make bench-screen` runs TestBenchScreen
-// with BENCH_SCREEN_OUT set, which times a depth-2 vulnerability screen of a
-// 64-region national-tier instance and writes BENCH_screen.json (same
-// cpsguard-bench/v1 envelope as BENCH_telemetry.json) pairing ns/op with the
-// screen.* counters — so the dominance rule's candidate reduction is tracked
-// as a number, not an anecdote. The report fails unless the screen pruned at
-// least as many contingency sets as it evaluated (a ≥2x reduction of the
-// candidate space).
+// N-k screening benchmark: a depth-2 vulnerability screen of a 64-region
+// national-tier instance. TestBench (bench_micro_test.go) records it with
+// the screen.* counters and fails unless the dominance rule pruned at least
+// as many contingency sets as it evaluated.
 package cpsguard
 
 import (
-	"encoding/json"
-	"os"
-	"runtime"
 	"strings"
 	"testing"
 
 	"cpsguard/internal/actors"
-	"cpsguard/internal/atomicio"
 	"cpsguard/internal/gridgen"
 	"cpsguard/internal/impact"
 	"cpsguard/internal/rng"
 	"cpsguard/internal/screen"
 	"cpsguard/internal/solvecache"
-	"cpsguard/internal/telemetry"
 )
 
 // screenBenchTargets caps the corridor-target set: 32 targets give a
@@ -73,67 +64,4 @@ func BenchmarkScreenNational(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// TestBenchScreen is gated by BENCH_SCREEN_OUT: unset, it skips; set, it
-// runs the national screening benchmark, writes the JSON report to that
-// path, and fails unless the dominance rule pruned at least as many
-// contingency sets as were evaluated — the screen must at least halve the
-// candidate space on the national instance, or it is not earning its keep.
-func TestBenchScreen(t *testing.T) {
-	out := os.Getenv("BENCH_SCREEN_OUT")
-	if out == "" {
-		t.Skip("set BENCH_SCREEN_OUT=path to run the screening benchmark")
-	}
-	reg := telemetry.Default()
-	reg.Reset()
-	r := testing.Benchmark(BenchmarkScreenNational)
-	snap := reg.Snapshot(telemetry.SnapshotOptions{})
-	counters := make(map[string]int64, len(snap.Counters))
-	for name, v := range snap.Counters {
-		if v != 0 {
-			counters[name] = v
-		}
-	}
-	reg.Reset()
-
-	report := benchTelemetryReport{
-		Schema:    benchSchema,
-		GoVersion: runtime.Version(),
-		Platform:  runtime.GOOS + "/" + runtime.GOARCH,
-		Benchmarks: map[string]benchTelemetryEntry{
-			"ScreenNational": {
-				Iterations:  r.N,
-				NsPerOp:     r.NsPerOp(),
-				AllocsPerOp: r.AllocsPerOp(),
-				BytesPerOp:  r.AllocedBytesPerOp(),
-				Counters:    counters,
-			},
-		},
-	}
-	t.Logf("ScreenNational: %d iter, %d ns/op, %d counters", r.N, r.NsPerOp(), len(counters))
-
-	for _, c := range []string{"screen.runs", "screen.evaluated", "screen.pruned"} {
-		if counters[c] == 0 {
-			t.Errorf("ScreenNational recorded no %s counter", c)
-		}
-	}
-	evaluated, pruned := counters["screen.evaluated"], counters["screen.pruned"]
-	if pruned < evaluated {
-		t.Errorf("dominance rule pruned %d of %d+%d contingency sets — less than half the candidate space",
-			pruned, evaluated, pruned)
-	} else if evaluated > 0 {
-		t.Logf("candidate reduction: %.1fx (%d evaluated of %d total sets)",
-			float64(evaluated+pruned)/float64(evaluated), evaluated, evaluated+pruned)
-	}
-
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	data = append(data, '\n')
-	if err := atomicio.MkdirAllAndWrite(out, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s (%d bytes)", out, len(data))
 }

@@ -1,29 +1,22 @@
-// Service cache-hit benchmark report: `make bench-servd` runs TestBenchServd
-// with BENCH_SERVD_OUT set, which times BenchmarkServdCacheHit — the full
-// HTTP round trip of a deduped POST /scenarios, including the store's
-// integrity re-verification of the committed artifact — and writes
-// BENCH_servd.json (cpsguard-bench/v1 envelope) pairing ns/op with the
-// service counters, so regressions in the hot serve path land in one
-// reviewable file.
+// Service cache-hit benchmark: the full HTTP round trip of a deduped
+// POST /scenarios, including the store's integrity re-verification of the
+// committed artifact. TestBench (bench_micro_test.go) records it with the
+// service counters.
 package cpsguard
 
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 
-	"cpsguard/internal/atomicio"
 	"cpsguard/internal/manifest"
 	"cpsguard/internal/servd"
-	"cpsguard/internal/telemetry"
 )
 
 // benchRunner writes a fixed-size valid bundle — the benchmark populates the
@@ -84,50 +77,4 @@ func BenchmarkServdCacheHit(b *testing.B) {
 			b.Fatalf("not a cache hit: %s", data)
 		}
 	}
-}
-
-// TestBenchServd is gated by BENCH_SERVD_OUT: unset, it skips; set, it runs
-// BenchmarkServdCacheHit and writes the JSON report to that path.
-func TestBenchServd(t *testing.T) {
-	out := os.Getenv("BENCH_SERVD_OUT")
-	if out == "" {
-		t.Skip("set BENCH_SERVD_OUT=path to run the servd cache-hit benchmark")
-	}
-	reg := telemetry.Default()
-	reg.Reset()
-	r := testing.Benchmark(BenchmarkServdCacheHit)
-	snap := reg.Snapshot(telemetry.SnapshotOptions{})
-	counters := make(map[string]int64, len(snap.Counters))
-	for name, v := range snap.Counters {
-		if v != 0 {
-			counters[name] = v
-		}
-	}
-	reg.Reset()
-	if counters["servd.cache_hits"] == 0 || counters["servd.store_commits"] == 0 {
-		t.Errorf("service counters missing from benchmark snapshot: %v", counters)
-	}
-	report := benchTelemetryReport{
-		Schema:    benchSchema,
-		GoVersion: runtime.Version(),
-		Platform:  runtime.GOOS + "/" + runtime.GOARCH,
-		Benchmarks: map[string]benchTelemetryEntry{
-			"ServdCacheHit": {
-				Iterations:  r.N,
-				NsPerOp:     r.NsPerOp(),
-				AllocsPerOp: r.AllocsPerOp(),
-				BytesPerOp:  r.AllocedBytesPerOp(),
-				Counters:    counters,
-			},
-		},
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	data = append(data, '\n')
-	if err := atomicio.MkdirAllAndWrite(out, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("ServdCacheHit: %d iter, %d ns/op; wrote %s (%d bytes)", r.N, r.NsPerOp(), out, len(data))
 }

@@ -1,23 +1,14 @@
-// Shard-merge benchmark report: `make bench-shard` runs TestBenchShard with
-// BENCH_SHARD_OUT set, which times BenchmarkShardMerge programmatically and
-// writes BENCH_shard.json (same cpsguard-bench/v1 envelope as
-// BENCH_telemetry.json) pairing the merge's ns/op with its validation
-// counters, so merge throughput regressions and validation-work drift land
-// in one reviewable file.
+// Shard-merge benchmark: the full merge path over an 8-way fleet. TestBench
+// (bench_micro_test.go) records it with the merge validation counters.
 package cpsguard
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
-	"runtime"
 	"testing"
 
-	"cpsguard/internal/atomicio"
 	"cpsguard/internal/checkpoint"
 	"cpsguard/internal/shard"
-	"cpsguard/internal/telemetry"
 )
 
 // buildShardFleet writes an n-way shard layout with trialsPerShard journaled
@@ -72,50 +63,4 @@ func BenchmarkShardMerge(b *testing.B) {
 			b.Fatalf("merged %d trials, want 2000", res.Trials)
 		}
 	}
-}
-
-// TestBenchShard is gated by BENCH_SHARD_OUT: unset, it skips; set, it runs
-// BenchmarkShardMerge and writes the JSON report to that path.
-func TestBenchShard(t *testing.T) {
-	out := os.Getenv("BENCH_SHARD_OUT")
-	if out == "" {
-		t.Skip("set BENCH_SHARD_OUT=path to run the shard-merge benchmark")
-	}
-	reg := telemetry.Default()
-	reg.Reset()
-	r := testing.Benchmark(BenchmarkShardMerge)
-	snap := reg.Snapshot(telemetry.SnapshotOptions{})
-	counters := make(map[string]int64, len(snap.Counters))
-	for name, v := range snap.Counters {
-		if v != 0 {
-			counters[name] = v
-		}
-	}
-	reg.Reset()
-	report := benchTelemetryReport{
-		Schema:    benchSchema,
-		GoVersion: runtime.Version(),
-		Platform:  runtime.GOOS + "/" + runtime.GOARCH,
-		Benchmarks: map[string]benchTelemetryEntry{
-			"ShardMerge": {
-				Iterations:  r.N,
-				NsPerOp:     r.NsPerOp(),
-				AllocsPerOp: r.AllocsPerOp(),
-				BytesPerOp:  r.AllocedBytesPerOp(),
-				Counters:    counters,
-			},
-		},
-	}
-	if counters["shard.merges"] == 0 || counters["shard.merged_records"] == 0 {
-		t.Errorf("merge counters missing from benchmark snapshot: %v", counters)
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	data = append(data, '\n')
-	if err := atomicio.MkdirAllAndWrite(out, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("ShardMerge: %d iter, %d ns/op; wrote %s (%d bytes)", r.N, r.NsPerOp(), out, len(data))
 }

@@ -372,7 +372,7 @@ func BenchmarkScalingDispatch48(b *testing.B) {
 }
 
 // --- Solver-layer benchmarks (DESIGN.md §10): the units the telemetry
-// instruments meter, benchmarked directly so BENCH_telemetry.json can pair
+// instruments meter, benchmarked directly so BENCH_micro.json can pair
 // ns/op with pivot/node counts.
 
 // benchLPProblem builds a representative dense LP: a transport-style

@@ -1,25 +1,17 @@
-// Warm-start and solve-cache benchmark report: `make bench-warm` runs
-// TestBenchWarmstart with BENCH_WARM_OUT set, which times the cold/warm
-// benchmark pairs programmatically and writes BENCH_warmstart.json (same
-// cpsguard-bench/v1 envelope as BENCH_telemetry.json) pairing each ns/op
-// with the warm vs cold pivot counters and cache hit/miss counts, so the
-// speedup and the pivot-count delta that produces it live in one file.
+// Warm-start and solve-cache benchmarks: cold/warm pairs of the impact
+// matrix build and of the per-trial adversary round. TestBench
+// (bench_micro_test.go) records them with their pivot and cache counters.
 package cpsguard
 
 import (
-	"encoding/json"
-	"os"
-	"runtime"
 	"testing"
 
 	"cpsguard/internal/actors"
 	"cpsguard/internal/adversary"
-	"cpsguard/internal/atomicio"
 	"cpsguard/internal/core"
 	"cpsguard/internal/impact"
 	"cpsguard/internal/rng"
 	"cpsguard/internal/solvecache"
-	"cpsguard/internal/telemetry"
 	"cpsguard/internal/westgrid"
 )
 
@@ -73,70 +65,4 @@ func BenchmarkAdversaryCold(b *testing.B) { benchAdversaryRound(b, nil) }
 // across iterations, as experiments share one across trials.
 func BenchmarkAdversaryCached(b *testing.B) {
 	benchAdversaryRound(b, solvecache.New(8192))
-}
-
-// TestBenchWarmstart is gated by BENCH_WARM_OUT: unset, it skips; set, it
-// runs the cold/warm pairs, writes the JSON report to that path, and fails
-// unless the warm impact-matrix build is at least 2x faster than the cold
-// baseline recorded in the same file.
-func TestBenchWarmstart(t *testing.T) {
-	out := os.Getenv("BENCH_WARM_OUT")
-	if out == "" {
-		t.Skip("set BENCH_WARM_OUT=path to run the warm-start benchmark pairs")
-	}
-	benches := []struct {
-		name string
-		fn   func(*testing.B)
-	}{
-		{"ImpactMatrix", BenchmarkImpactMatrix},
-		{"ImpactMatrixWarm", BenchmarkImpactMatrixWarm},
-		{"AdversaryCold", BenchmarkAdversaryCold},
-		{"AdversaryCached", BenchmarkAdversaryCached},
-	}
-	reg := telemetry.Default()
-	report := benchTelemetryReport{
-		Schema:     benchSchema,
-		GoVersion:  runtime.Version(),
-		Platform:   runtime.GOOS + "/" + runtime.GOARCH,
-		Benchmarks: make(map[string]benchTelemetryEntry, len(benches)),
-	}
-	for _, bench := range benches {
-		reg.Reset()
-		r := testing.Benchmark(bench.fn)
-		snap := reg.Snapshot(telemetry.SnapshotOptions{})
-		counters := make(map[string]int64, len(snap.Counters))
-		for name, v := range snap.Counters {
-			if v != 0 {
-				counters[name] = v
-			}
-		}
-		report.Benchmarks[bench.name] = benchTelemetryEntry{
-			Iterations:  r.N,
-			NsPerOp:     r.NsPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			Counters:    counters,
-		}
-		t.Logf("%s: %d iter, %d ns/op, %d counters", bench.name, r.N, r.NsPerOp(), len(counters))
-	}
-	reg.Reset()
-
-	cold := report.Benchmarks["ImpactMatrix"].NsPerOp
-	warm := report.Benchmarks["ImpactMatrixWarm"].NsPerOp
-	if warm <= 0 || cold < 2*warm {
-		t.Errorf("ImpactMatrixWarm %d ns/op is not ≥2x faster than ImpactMatrix %d ns/op", warm, cold)
-	} else {
-		t.Logf("impact matrix speedup: %.1fx (cold %d → warm %d ns/op)",
-			float64(cold)/float64(warm), cold, warm)
-	}
-
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	data = append(data, '\n')
-	if err := atomicio.MkdirAllAndWrite(out, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s (%d bytes)", out, len(data))
 }

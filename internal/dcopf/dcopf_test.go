@@ -5,6 +5,9 @@ import (
 	"testing"
 
 	"cpsguard/internal/graph"
+	"cpsguard/internal/lp"
+	"cpsguard/internal/telemetry"
+	"cpsguard/internal/westgrid"
 )
 
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -149,5 +152,64 @@ func TestUnprofitableStaysDark(t *testing.T) {
 	}
 	if r.Welfare != 0 || r.Flow["l"] != 0 {
 		t.Fatalf("uneconomic dispatch ran: %+v", r)
+	}
+}
+
+// TestWestgridMatchesRevised solves the 143-row westgrid DC-OPF, plain and
+// stressed, with the default solver and with the sparse revised simplex.
+// The two welfares must agree and the default point must satisfy every
+// Kirchhoff, capacity, nodal-balance and bound constraint. The dense
+// tableau alone once returned an infeasible point here (plain) or hit its
+// pivot cap (stressed); MethodAuto must catch both and re-solve.
+func TestWestgridMatchesRevised(t *testing.T) {
+	resolves := func() int64 {
+		return telemetry.Default().Snapshot(telemetry.SnapshotOptions{}).Counters["lp.auto_resolves"]
+	}
+	before := resolves()
+	for _, stress := range []bool{false, true} {
+		g := westgrid.Build(westgrid.Options{Stress: stress})
+		got, err := Solve(g, Options{})
+		if err != nil {
+			t.Fatalf("stress=%v: %v", stress, err)
+		}
+		want, err := Solve(g, Options{LP: lp.Options{Method: lp.MethodRevised}})
+		if err != nil {
+			t.Fatalf("stress=%v revised: %v", stress, err)
+		}
+		if !approx(got.Welfare, want.Welfare, 1e-6*(1+math.Abs(want.Welfare))) {
+			t.Errorf("stress=%v: welfare %.6f, revised %.6f", stress, got.Welfare, want.Welfare)
+		}
+		checkFeasible(t, g, got, 1e-6)
+	}
+	if n := resolves() - before; n != 2 {
+		t.Errorf("lp.auto_resolves rose by %d, want 2 (one re-solve per westgrid variant)", n)
+	}
+}
+
+// checkFeasible verifies a DC-OPF result against the physics it models.
+func checkFeasible(t *testing.T, g *graph.Graph, r *Result, tol float64) {
+	t.Helper()
+	net := map[string]float64{}
+	for i := range g.Edges {
+		e := &g.Edges[i]
+		f := r.Flow[e.ID]
+		if math.Abs(f) > e.Capacity+tol*(1+e.Capacity) {
+			t.Errorf("%s: |flow| %.6f exceeds capacity %.6f", e.ID, f, e.Capacity)
+		}
+		b := DefaultSusceptance(e)
+		if kirch := b * (r.Angle[e.From] - r.Angle[e.To]); !approx(f, kirch, tol*(1+math.Abs(f)+math.Abs(kirch))) {
+			t.Errorf("%s: flow %.6f, B·Δθ %.6f", e.ID, f, kirch)
+		}
+		net[e.To] += f
+		net[e.From] -= f
+	}
+	for _, v := range g.Vertices {
+		gen, load := r.Gen[v.ID], r.Load[v.ID]
+		if gen < -tol || gen > v.Supply+tol*(1+v.Supply) || load < -tol || load > v.Demand+tol*(1+v.Demand) {
+			t.Errorf("%s: gen %.6f of %.6f, load %.6f of %.6f", v.ID, gen, v.Supply, load, v.Demand)
+		}
+		if bal := gen + net[v.ID] - load; math.Abs(bal) > tol*(1+gen+load) {
+			t.Errorf("%s: nodal imbalance %.6f", v.ID, bal)
+		}
 	}
 }

@@ -75,6 +75,42 @@ func (m Method) resolve(p *Problem) Method {
 	return MethodBounded
 }
 
+// autoResidualTol is the scaled primal residual above which an optimum the
+// dense tableau reports under MethodAuto is distrusted and the problem is
+// re-solved with MethodRevised. The tableau never reinverts, so error can
+// build up over long pivot paths; paper dispatches stay below 1e-11.
+const autoResidualTol = 1e-6
+
+// scaledResidual is the largest primal violation of x in p: each row's
+// violation over 1 + |rhs| + Σ|aᵢⱼxⱼ|, and each bound violation over
+// 1 + |bound|.
+func (p *Problem) scaledResidual(x []float64) float64 {
+	worst := 0.0
+	for j, v := range x {
+		worst = max(worst, -v)
+		if u := p.upper[j]; v > u {
+			worst = max(worst, (v-u)/(1+u))
+		}
+	}
+	for _, row := range p.rows {
+		lhs, mag := 0.0, 0.0
+		for _, c := range row.Coefs {
+			t := c.Value * x[c.Var]
+			lhs += t
+			mag += math.Abs(t)
+		}
+		viol := math.Abs(lhs - row.RHS)
+		switch row.Sense {
+		case LE:
+			viol = lhs - row.RHS
+		case GE:
+			viol = row.RHS - lhs
+		}
+		worst = max(worst, viol/(1+math.Abs(row.RHS)+mag))
+	}
+	return worst
+}
+
 // nonbasic status markers.
 const (
 	atLower int8 = iota

@@ -320,7 +320,22 @@ func (p *Problem) SolveOpts(opts Options) (sol *Solution, err error) {
 	}()
 	switch opts.Method.resolve(p) {
 	case MethodBounded:
-		return solveBounded(p, opts, g)
+		sol, err = solveBounded(p, opts, g)
+		// Under MethodAuto a dense answer that hit the pivot cap or
+		// violates a row is handed to the sparse solver, which
+		// refactorizes its basis. An explicit MethodBounded stays
+		// unchecked: it is the differential oracle.
+		if opts.Method == MethodAuto && err == nil && (sol.Status == IterationLimit ||
+			sol.Status == Optimal && p.scaledResidual(sol.X) > autoResidualTol) {
+			mAutoResolves.Inc()
+			wasted := sol.Iterations
+			opts.WarmStart = nil
+			sol, err = solveRevised(p, opts, g)
+			if sol != nil {
+				sol.Iterations += wasted
+			}
+		}
+		return sol, err
 	case MethodRevised:
 		return solveRevised(p, opts, g)
 	}

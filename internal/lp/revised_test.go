@@ -24,7 +24,7 @@ func checkSparse(t *testing.T, m Method, before int64) {
 // artificial basic at value zero (a redundant conservation row, say), and
 // the warm path used to reject every such basis — so a structurally
 // identical re-solve permanently fell back to the cold two-phase method
-// (164 of 344 warm attempts in BENCH_warmstart.json). The tightened check
+// (164 of 344 warm attempts in the warm-start benchmark report of the time). The tightened check
 // accepts a basic artificial (its bound is clamped to zero and the primal
 // feasibility check pins it there) and the re-solve must stay warm with a
 // bit-identical optimum.

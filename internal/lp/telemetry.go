@@ -51,6 +51,11 @@ var (
 	mRevBtranSolves      = telemetry.NewCounter("lp.revised.btran_solves")
 	mRevDenseFallbacks   = telemetry.NewCounter("lp.revised.dense_fallbacks")
 
+	// MethodAuto re-solves: bounded answers that hit the pivot cap or
+	// failed the scaled-residual check and were re-solved with
+	// MethodRevised.
+	mAutoResolves = telemetry.NewCounter("lp.auto_resolves")
+
 	mStatus = func() map[Status]*telemetry.Counter {
 		out := map[Status]*telemetry.Counter{}
 		for _, st := range []Status{Optimal, Infeasible, Unbounded, IterationLimit,
