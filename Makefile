@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci vet build test race bench bench-smoke fuzz-smoke revised-smoke crash-resume shard-smoke servd-smoke obs-smoke screen-smoke perfbench-smoke repro clean
+.PHONY: ci vet build test race bench bench-paper bench-smoke fuzz-smoke revised-smoke crash-resume shard-smoke servd-smoke obs-smoke screen-smoke perfbench-smoke repro clean
 
 ci: vet build race bench-smoke fuzz-smoke revised-smoke crash-resume shard-smoke servd-smoke obs-smoke screen-smoke perfbench-smoke repro
 
@@ -27,6 +27,19 @@ race:
 # perfbench/.
 bench:
 	BENCH_OUT=BENCH_micro.json $(GO) test -run '^TestBench$$' -count=1 -v .
+
+# Paper-figure trajectory: one perfbench run (--trace 0, the 36 s budget
+# BENCHMARK.json sets) on each workload at seed 1, each result line
+# appended to the committed BENCH_paper.json tagged with the commit it
+# measured ("-dirty" when the tree has uncommitted changes) and the seed.
+# Run it on a quiet machine; each performance change leaves its rows.
+bench-paper:
+	@commit=$$(git describe --always --dirty --abbrev=7) && \
+	for w in fig5_graph fig3_matrix fig5_warm; do \
+		out=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 36 --trace 0) || exit 1; \
+		printf '{"commit":"%s","workload":"%s","seed":1,"result":%s}\n' \
+			"$$commit" "$$w" "$$(printf '%s\n' "$$out" | tail -n 1)" >> BENCH_paper.json; \
+	done
 
 # One-iteration pass over every benchmark: catches benchmarks that no longer
 # compile or panic, without paying for a timed run. Part of ci.

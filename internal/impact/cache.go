@@ -26,7 +26,12 @@ import (
 	"cpsguard/internal/graph"
 	"cpsguard/internal/lp"
 	"cpsguard/internal/solvecache"
+	"cpsguard/internal/telemetry"
 )
+
+// mZeroFlowSkips counts perturbation sets answered from the baseline
+// dispatch without an LP solve (answersZeroFlow).
+var mZeroFlowSkips = telemetry.NewCounter("impact.zero_flow_skips")
 
 // CanonicalKey returns a canonical hex digest of a perturbation set: the
 // same attack always yields the same key regardless of perturbation order
@@ -105,37 +110,44 @@ func (a *Analysis) salt() string {
 // deltas are measured against.
 type baselineState struct {
 	profits actors.Profits
-	welfare float64
-	basis   *lp.Basis
 	support []string
+	// result is the baseline dispatch itself: its welfare and basis, and
+	// the optimum zero-flow capacity cuts reuse (see answersZeroFlow).
+	result *flow.Result
 }
 
 // baseline resolves the baseline state, memoized in the cache when one is
 // attached (the baseline is by far the most repeated solve: every Of and
-// every matrix column needs it).
+// every matrix column needs it). The memo entry carries the full dispatch,
+// so the zero-flow skip fires identically on a hit and on a fresh solve.
 func (a *Analysis) baseline(salt string) (baselineState, error) {
 	key := salt + "|baseline"
 	if a.Cache != nil {
 		if e, ok := a.Cache.Get(key); ok {
-			return baselineState{profits: e.Profits, welfare: e.Welfare, basis: e.Basis, support: e.Support}, nil
+			return baselineState{profits: e.Profits, support: e.Support, result: e.Dispatch}, nil
 		}
 	}
 	p, r, err := a.Baseline()
 	if err != nil {
 		return baselineState{}, err
 	}
-	st := baselineState{profits: p, welfare: r.Welfare, basis: r.Basis, support: supportOf(a.Graph, r)}
+	st := baselineState{profits: p, support: supportOf(a.Graph, r), result: r}
 	if a.Cache != nil {
-		a.Cache.Put(key, solvecache.Entry{Profits: p, Welfare: r.Welfare, Basis: r.Basis, Support: st.support})
+		a.Cache.Put(key, solvecache.Entry{Profits: p, Welfare: r.Welfare, Basis: r.Basis, Support: st.support, Dispatch: r})
 	}
 	return st, nil
 }
 
 // supportOf lists the edges carrying nonzero flow in r, in g.Edges index
 // order — a deterministic dominance certificate for the N-k screen. The
-// exact-zero test is intentional: nonbasic flow variables sit exactly at
-// their zero lower bound, and the screen's soundness argument needs "zero
-// flow", not "small flow".
+// exact-zero test is intentional. A flow reads exactly 0 when its variable
+// is nonbasic at its zero lower bound or basic at a degenerate zero; either
+// way r stays feasible, and so optimal, under any cut of that edge's
+// capacity, which is what the screen's dominance rule and the zero-flow
+// skip in ofCachedEntry need (DESIGN.md §12). A small flow gives no such
+// guarantee: even a 1e-12 round-off residue makes r infeasible once the
+// edge is cut to 0, and the cut optimum may then move its prices and
+// profits.
 func supportOf(g *graph.Graph, r *flow.Result) []string {
 	support := make([]string, 0, len(g.Edges))
 	for i := range g.Edges {
@@ -144,6 +156,22 @@ func supportOf(g *graph.Graph, r *flow.Result) []string {
 		}
 	}
 	return support
+}
+
+// answersZeroFlow reports whether the baseline dispatch is already the
+// exact optimum under ps: every perturbation is a capacity cut (IsCut) of
+// an edge that carries exactly zero flow in the baseline. Cutting such a
+// capacity only shrinks the feasible region while the baseline point stays
+// inside it, and the cut variable stays at its bound, so the baseline
+// primal point, duals and basis all remain optimal.
+func (a *Analysis) answersZeroFlow(base baselineState, ps []Perturbation) bool {
+	for _, p := range ps {
+		e := a.Graph.Edge(p.EdgeID)
+		if e == nil || !p.IsCut(e) || base.result.Flow[p.EdgeID] != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // ofCached prices one perturbation set against the baseline, consulting the
@@ -155,12 +183,15 @@ func (a *Analysis) ofCached(salt string, base baselineState, ps []Perturbation) 
 	if err != nil {
 		return nil, 0, err
 	}
-	return deltaProfits(e.Profits, base.profits), e.Welfare - base.welfare, nil
+	return deltaProfits(e.Profits, base.profits), e.Welfare - base.result.Welfare, nil
 }
 
 // ofCachedEntry is ofCached in absolute form: it returns the full memo
 // entry (absolute profits, welfare, basis, flow support) for one
-// perturbation set, solving and memoizing on a miss. Entries read from a
+// perturbation set, solving and memoizing on a miss. A set the baseline
+// already answers (answersZeroFlow) skips the LP and reuses the baseline
+// dispatch; it still goes through Apply, so unknown edges and invalid
+// graphs fail exactly as on the solve path. Entries read from a
 // cache populated before support recording carry a nil Support; callers
 // needing the certificate must treat nil as "none", not "empty".
 func (a *Analysis) ofCachedEntry(salt string, base baselineState, ps []Perturbation) (solvecache.Entry, error) {
@@ -175,15 +206,21 @@ func (a *Analysis) ofCachedEntry(salt string, base baselineState, ps []Perturbat
 	if err != nil {
 		return solvecache.Entry{}, err
 	}
-	var opts flow.Options
-	opts.LP.Method = a.LPMethod
-	if a.WarmStart {
-		opts.LP.WarmStart = base.basis
+	r := base.result
+	if a.answersZeroFlow(base, ps) {
+		mZeroFlowSkips.Inc()
+	} else {
+		var opts flow.Options
+		opts.LP.Method = a.LPMethod
+		if a.WarmStart {
+			opts.LP.WarmStart = base.result.Basis
+		}
+		if r, err = flow.DispatchOpts(gp, opts); err != nil {
+			return solvecache.Entry{}, err
+		}
 	}
-	r, err := flow.DispatchOpts(gp, opts)
-	if err != nil {
-		return solvecache.Entry{}, err
-	}
+	// The division always runs on the perturbed graph, even when the
+	// dispatch is the baseline's: tie owners follow capacities.
 	p, err := a.model().Divide(gp, r, a.Ownership)
 	if err != nil {
 		return solvecache.Entry{}, err

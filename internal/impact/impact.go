@@ -57,6 +57,15 @@ type Perturbation struct {
 	Value float64
 }
 
+// IsCut reports whether p only lowers the capacity of e: Field == Capacity
+// and 0 ≤ Value ≤ e.Capacity. A cut only shrinks the feasible region and
+// keeps a zero flow on e feasible, which is what the N-k screen's
+// dominance rule and the zero-flow skip both rely on. NaN values are not
+// cuts.
+func (p Perturbation) IsCut(e *graph.Edge) bool {
+	return p.Field == Capacity && p.Value >= 0 && p.Value <= e.Capacity
+}
+
 // Outage returns the paper's experimental attack: reduce the target's
 // capacity to zero ("crashing a PLC", Section III-A3).
 func Outage(edgeID string) Perturbation {
@@ -174,7 +183,7 @@ func (a *Analysis) NewEvaluator() (*Evaluator, error) {
 }
 
 // BaselineWelfare is the unattacked system welfare.
-func (e *Evaluator) BaselineWelfare() float64 { return e.base.welfare }
+func (e *Evaluator) BaselineWelfare() float64 { return e.base.result.Welfare }
 
 // BaselineSupport lists the edges with nonzero flow in the baseline
 // dispatch (graph edge-index order), or nil when the baseline entry came
@@ -196,7 +205,7 @@ func (e *Evaluator) OfSupport(ps ...Perturbation) (dw float64, support []string,
 	if err != nil {
 		return 0, nil, err
 	}
-	return entry.Welfare - e.base.welfare, entry.Support, nil
+	return entry.Welfare - e.base.result.Welfare, entry.Support, nil
 }
 
 // Matrix is the impact matrix IM[a][t] plus bookkeeping.
@@ -293,7 +302,7 @@ func (a *Analysis) ComputeMatrixOf(targets []string, mk func(id string) []Pertur
 		WelfareDelta:    map[string]float64{},
 		Targets:         append([]string(nil), targets...),
 		Actors:          a.Ownership.Actors(),
-		BaselineWelfare: base.welfare,
+		BaselineWelfare: base.result.Welfare,
 	}
 	// Ensure every owning actor has a row even if all its deltas are 0.
 	for _, actor := range m.Actors {

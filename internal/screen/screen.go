@@ -213,7 +213,7 @@ func Run(cfg Config) (*Ranking, error) {
 			if e == nil {
 				return nil, fmt.Errorf("screen: target %s perturbs unknown edge %q", id, p.EdgeID)
 			}
-			if p.Field != impact.Capacity || !(p.Value >= 0) || p.Value > e.Capacity {
+			if !p.IsCut(e) {
 				monotone = false
 			}
 			if prev, ok := edgeOwner[p.EdgeID]; ok && prev != i {

@@ -21,6 +21,7 @@ import (
 	"container/list"
 	"sync"
 
+	"cpsguard/internal/flow"
 	"cpsguard/internal/lp"
 	"cpsguard/internal/telemetry"
 )
@@ -51,6 +52,12 @@ type Entry struct {
 	// predates support recording; consumers must treat nil as "no
 	// certificate", never as "empty support".
 	Support []string
+	// Dispatch is the full dispatch the entry was computed from. Only
+	// baseline entries record it: zero-flow capacity cuts reuse the
+	// baseline dispatch instead of re-solving (internal/impact), and they
+	// must be able to do so whether the baseline was solved or served
+	// from the memo. Nil on every other entry.
+	Dispatch *flow.Result
 }
 
 // Stats is a point-in-time snapshot of cache effectiveness.

@@ -18,6 +18,7 @@ import (
 	_ "cpsguard/internal/checkpoint"
 	_ "cpsguard/internal/defense"
 	_ "cpsguard/internal/experiments"
+	_ "cpsguard/internal/impact"
 	_ "cpsguard/internal/lp"
 	_ "cpsguard/internal/milp"
 	_ "cpsguard/internal/parallel"
