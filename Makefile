@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci vet build test race bench bench-paper bench-smoke fuzz-smoke revised-smoke crash-resume shard-smoke servd-smoke obs-smoke screen-smoke perfbench-smoke repro clean
+.PHONY: ci vet build test race bench bench-paper bench-smoke fuzz-smoke revised-smoke crash-resume shard-smoke obs-smoke screen-smoke perfbench-smoke repro clean
 
-ci: vet build race bench-smoke fuzz-smoke revised-smoke crash-resume shard-smoke servd-smoke obs-smoke screen-smoke perfbench-smoke repro
+ci: vet build race bench-smoke fuzz-smoke revised-smoke crash-resume shard-smoke obs-smoke screen-smoke perfbench-smoke repro
 
 vet:
 	$(GO) vet ./...
@@ -92,15 +92,6 @@ shard-smoke:
 	cmp /tmp/cpsguard-shard-smoke/run/single/fig5.csv /tmp/cpsguard-shard-smoke/run/merged/fig5.csv
 	@echo "shard-smoke: merged CSV byte-identical to single-process run"
 
-# Scenario-service acceptance: the servd unit/integration battery (dedup,
-# coalescing, saturation, breaker, corruption eviction, drain, chaos through
-# the HTTP path), then an end-to-end binary check — start cpsservd, submit
-# the same scenario twice, require the second response to be a cache hit
-# serving bytes identical to the first, and a clean drain on SIGTERM.
-servd-smoke:
-	$(GO) test ./internal/servd/ -count=1
-	$(GO) test -run '^TestServdSmoke$$' -count=1 .
-
 # Fleet observability acceptance: metric-name lint and strict-exposition
 # round-trip over the live default registry, the trace-context/merge and
 # Prometheus unit batteries, then an end-to-end binary check — a 2-shard
@@ -153,7 +144,7 @@ repro:
 # they are reviewed outputs, not build products.
 clean:
 	$(GO) clean ./...
-	rm -f cpsattack cpsdefend cpsexp cpsflow cpsgen cpsservd
+	rm -f cpsattack cpsdefend cpsexp cpsflow cpsgen cpsreport
 	rm -rf /tmp/cpsguard-shard-smoke /tmp/cpsguard-screen-smoke
 	find . -name '*.journal' -not -path './results/*' -delete
 	find . -name '*.test' -delete

@@ -1,5 +1,5 @@
 // Micro-benchmark report: `make bench` runs TestBench with BENCH_OUT set,
-// which executes every solver-, cache-, service- and observability-layer
+// which executes every solver-, cache-, shard- and observability-layer
 // benchmark below in one pass, pairs each timing with the telemetry counter
 // deltas it produced, writes the committed BENCH_micro.json, and then
 // enforces the speedup and attribution gates on that one report. The
@@ -62,7 +62,6 @@ var benchTable = []struct {
 	{"RevisedNationalOracle", BenchmarkRevisedNationalOracle},
 	{"DenseNationalOracle", BenchmarkDenseNationalOracle},
 	{"ShardMerge", BenchmarkShardMerge},
-	{"ServdCacheHit", BenchmarkServdCacheHit},
 	{"PromExposition", BenchmarkPromExposition},
 	{"TraceMerge", BenchmarkTraceMerge},
 	{"ScreenNational", BenchmarkScreenNational},
@@ -78,7 +77,6 @@ var revisedCounters = []string{"lp.revised.solves", "lp.revised.factorizations",
 var benchCounterGates = map[string][]string{
 	"RevisedNationalGrid": revisedCounters,
 	"ScreenNational":      {"screen.runs", "screen.evaluated", "screen.pruned"},
-	"ServdCacheHit":       {"servd.cache_hits", "servd.store_commits"},
 	"ShardMerge":          {"shard.merges", "shard.merged_records"},
 }
 

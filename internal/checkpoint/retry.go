@@ -161,9 +161,3 @@ func Do[T any](ctx context.Context, r Retrier, key string, fn func() (T, error))
 			obs.F("attempt", attempt+1), obs.F("backoff", backoff), obs.F("err", err))
 	}
 }
-
-// DoErr is Do for value-less operations.
-func (r Retrier) DoErr(ctx context.Context, key string, fn func() error) error {
-	_, err := Do(ctx, r, key, func() (struct{}, error) { return struct{}{}, fn() })
-	return err
-}

@@ -22,10 +22,10 @@ import (
 	"cpsguard/internal/telemetry"
 )
 
-// RunSpanCapacity is the span-ring size used for observability runs: deep
+// runSpanCapacity is the span-ring size used for observability runs: deep
 // enough to keep a quick sweep's full trace tree, still bounded for long
 // sweeps (the ring keeps the newest spans; cpsreport reports the drop count).
-const RunSpanCapacity = 8192
+const runSpanCapacity = 8192
 
 // RunOptions configures StartRun.
 type RunOptions struct {
@@ -80,7 +80,7 @@ func StartRun(opts RunOptions) *Run {
 	telemetry.Default().SetLabel(opts.Tool)
 	if opts.Dir != "" || opts.Trace {
 		telemetry.Default().EnableTracing(true)
-		telemetry.Default().SetSpanCapacity(RunSpanCapacity)
+		telemetry.Default().SetSpanCapacity(runSpanCapacity)
 	}
 	// A supervising parent (cpsexp -shard-supervise) hands its trace context
 	// down through the environment; adopting it makes this process's spans
@@ -89,7 +89,7 @@ func StartRun(opts RunOptions) *Run {
 	if tc, ok := telemetry.TraceContextFromEnv(); ok {
 		telemetry.Default().SetTraceContext(tc)
 		telemetry.Default().EnableTracing(true)
-		telemetry.Default().SetSpanCapacity(RunSpanCapacity)
+		telemetry.Default().SetSpanCapacity(runSpanCapacity)
 	}
 	r.Log = obs.New(m.RunID, sinks...)
 	r.Log.Debug("run started", obs.F("tool", opts.Tool), obs.F("seed", opts.Seed))

@@ -45,17 +45,12 @@ func (r *Registry) DebugMux() *http.ServeMux {
 	return mux
 }
 
-// ServeDebug starts the debug endpoint on addr (e.g. "localhost:6060") in a
-// background goroutine and returns the server plus the bound address (useful
-// with ":0"). The caller owns shutdown via srv.Close.
-func (r *Registry) ServeDebug(addr string) (*http.Server, string, error) {
-	return r.ServeDebugWith(addr, nil)
-}
-
-// ServeDebugWith is ServeDebug with a hook to mount extra handlers on the
-// same mux before it starts serving — how cpsexp's shard-aggregation
-// endpoints ride the existing -debug-addr listener instead of needing a
-// second port.
+// ServeDebugWith starts the debug endpoint on addr (e.g. "localhost:6060")
+// in a background goroutine and returns the server plus the bound address
+// (useful with ":0"). The caller owns shutdown via srv.Close. register, when
+// non-nil, mounts extra handlers on the same mux before it starts serving —
+// how cpsexp's shard-aggregation endpoints ride the existing -debug-addr
+// listener instead of needing a second port.
 func (r *Registry) ServeDebugWith(addr string, register func(mux *http.ServeMux)) (*http.Server, string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

@@ -3,7 +3,7 @@
 // families are emitted counters → histograms → timings, each section sorted
 // by name, histogram buckets cumulative with a terminal +Inf — so two
 // identical seeded runs (or two scrapes of a settled registry) produce
-// byte-identical output, which promparse.go's strict parser enforces in
+// byte-identical output, which the strict parser in promtest enforces in
 // tests.
 //
 // Name mangling: instrument names are dot-separated ("lp.pivots"); the

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"cpsguard/internal/telemetry/promtest"
 )
 
 // populate fills a registry with one of every instrument kind, with a fixed
@@ -31,7 +33,7 @@ func TestPromExpositionRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	populate(r)
 	out := r.PrometheusText()
-	fams, order, err := ParsePrometheus(out)
+	fams, order, err := promtest.Parse(out)
 	if err != nil {
 		t.Fatalf("own exposition failed the strict parser: %v\n%s", err, out)
 	}
@@ -86,7 +88,7 @@ func TestPromExpositionByteStable(t *testing.T) {
 func TestPromExpositionSortedAndPrefixed(t *testing.T) {
 	r := NewRegistry()
 	populate(r)
-	_, order, err := ParsePrometheus(r.PrometheusText())
+	_, order, err := promtest.Parse(r.PrometheusText())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +149,7 @@ func TestPromHandlerOnDebugMux(t *testing.T) {
 	if !strings.Contains(ctype, "text/plain") || !strings.Contains(ctype, "version=0.0.4") {
 		t.Fatalf("content type = %q", ctype)
 	}
-	if _, _, err := ParsePrometheus(body); err != nil {
+	if _, _, err := promtest.Parse(body); err != nil {
 		t.Fatalf("served exposition unparseable: %v", err)
 	}
 	// Byte-stable across scrapes of a settled registry.
@@ -161,7 +163,7 @@ func TestPromInfBucketAbsorbsOverflow(t *testing.T) {
 	r := NewRegistry()
 	h := r.Timing("x.latency_ns")
 	h.Observe(time.Hour.Nanoseconds()) // beyond the last 10s edge
-	fams, _, err := ParsePrometheus(r.PrometheusText())
+	fams, _, err := promtest.Parse(r.PrometheusText())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,13 +206,13 @@ func TestParsePrometheusRejectsMalformed(t *testing.T) {
 			"cpsguard_h_bucket{le=\"+Inf\"} 1\ncpsguard_h_sum 1\ncpsguard_h_count 1\n",
 	}
 	for name, text := range bad {
-		if _, _, err := ParsePrometheus([]byte(text)); err == nil {
+		if _, _, err := promtest.Parse([]byte(text)); err == nil {
 			t.Errorf("%s: accepted\n%s", name, text)
 		}
 	}
 	// HELP lines are tolerated (other emitters include them).
 	ok := "# HELP cpsguard_x something\n# TYPE cpsguard_x counter\ncpsguard_x 1\n"
-	if _, _, err := ParsePrometheus([]byte(ok)); err != nil {
+	if _, _, err := promtest.Parse([]byte(ok)); err != nil {
 		t.Errorf("HELP line rejected: %v", err)
 	}
 }

@@ -1,11 +1,12 @@
-// A strict parser for the Prometheus text exposition format — deliberately
-// narrower than a scraper's: it accepts exactly what prom.go emits (plus
-// HELP lines for generality) and errors on everything else. Tests round-trip
-// /metrics/prom output through it, so any drift in the exposition — a
-// non-cumulative bucket, a missing +Inf, a duplicate family, an unsorted
-// mangle collision — fails loudly instead of producing a dashboard that
-// silently lies.
-package telemetry
+// Package promtest is a strict parser for the Prometheus text exposition
+// format — deliberately narrower than a scraper's: it accepts exactly what
+// telemetry's prom.go emits (plus HELP lines for generality) and errors on
+// everything else. Tests round-trip /metrics/prom output through it, so any
+// drift in the exposition — a non-cumulative bucket, a missing +Inf, a
+// duplicate family, an unsorted mangle collision — fails loudly instead of
+// producing a dashboard that silently lies. Only _test.go files import it,
+// so no binary links it.
+package promtest
 
 import (
 	"fmt"
@@ -15,8 +16,8 @@ import (
 	"strings"
 )
 
-// PromSample is one parsed sample line.
-type PromSample struct {
+// Sample is one parsed sample line.
+type Sample struct {
 	// Name is the full sample name (including _bucket/_sum/_count).
 	Name string
 	// Labels holds the label set ({le="..."} for buckets; empty otherwise).
@@ -25,11 +26,11 @@ type PromSample struct {
 	Value float64
 }
 
-// PromFamily is one parsed metric family: a # TYPE line and its samples.
-type PromFamily struct {
+// Family is one parsed metric family: a # TYPE line and its samples.
+type Family struct {
 	Name    string
 	Type    string // "counter" or "histogram"
-	Samples []PromSample
+	Samples []Sample
 }
 
 var promNameRe = func(s string) bool {
@@ -46,7 +47,7 @@ var promNameRe = func(s string) bool {
 	return true
 }
 
-// ParsePrometheus parses exposition text into families, strictly:
+// Parse parses exposition text into families, strictly:
 //
 //   - every sample must follow a # TYPE line declaring its family, and TYPE
 //     must be counter or histogram;
@@ -58,15 +59,15 @@ var promNameRe = func(s string) bool {
 //   - no family or sample may repeat.
 //
 // It returns the families keyed by name plus their order of appearance.
-func ParsePrometheus(data []byte) (map[string]*PromFamily, []string, error) {
-	families := map[string]*PromFamily{}
+func Parse(data []byte) (map[string]*Family, []string, error) {
+	families := map[string]*Family{}
 	var order []string
-	var cur *PromFamily
+	var cur *Family
 	finish := func() error {
 		if cur == nil {
 			return nil
 		}
-		if err := validatePromFamily(cur); err != nil {
+		if err := validateFamily(cur); err != nil {
 			return err
 		}
 		cur = nil
@@ -98,12 +99,12 @@ func ParsePrometheus(data []byte) (map[string]*PromFamily, []string, error) {
 			if err := finish(); err != nil {
 				return nil, nil, err
 			}
-			cur = &PromFamily{Name: name, Type: typ}
+			cur = &Family{Name: name, Type: typ}
 			families[name] = cur
 			order = append(order, name)
 			continue
 		}
-		sample, err := parsePromSample(line)
+		sample, err := parseSample(line)
 		if err != nil {
 			return nil, nil, fmt.Errorf("prom parse: line %d: %w", n, err)
 		}
@@ -126,7 +127,7 @@ func ParsePrometheus(data []byte) (map[string]*PromFamily, []string, error) {
 	return families, order, nil
 }
 
-func sampleInFamily(name string, f *PromFamily) bool {
+func sampleInFamily(name string, f *Family) bool {
 	if f.Type == "counter" {
 		return name == f.Name
 	}
@@ -145,8 +146,8 @@ func labelsEqual(a, b map[string]string) bool {
 	return true
 }
 
-func parsePromSample(line string) (PromSample, error) {
-	s := PromSample{Labels: map[string]string{}}
+func parseSample(line string) (Sample, error) {
+	s := Sample{Labels: map[string]string{}}
 	rest := line
 	if i := strings.IndexByte(rest, '{'); i >= 0 {
 		s.Name = rest[:i]
@@ -193,7 +194,7 @@ func parsePromSample(line string) (PromSample, error) {
 	return s, nil
 }
 
-func validatePromFamily(f *PromFamily) error {
+func validateFamily(f *Family) error {
 	if f.Type == "counter" {
 		if len(f.Samples) != 1 {
 			return fmt.Errorf("prom parse: counter %q has %d samples, want 1", f.Name, len(f.Samples))

@@ -31,7 +31,7 @@ type SpanRecord struct {
 	// Parents are threaded through context.Context by StartSpanCtx.
 	ParentID uint64 `json:"parent_id,omitempty"`
 	// RemoteParent is the 16-hex *global* ID of a parent span in another
-	// process (inherited via SetTraceContext or set per span), recorded on
+	// process (inherited via SetTraceContext), recorded on
 	// root spans so a fleet merge can stitch process trees together. Empty
 	// when the span has a local parent or the process is a trace root.
 	RemoteParent string `json:"remote_parent,omitempty"`
@@ -171,18 +171,6 @@ func (s *Span) AddRetries(n int) {
 	if s != nil {
 		s.mu.Lock()
 		s.rec.Retries += n
-		s.mu.Unlock()
-	}
-}
-
-// SetRemoteParent overrides the span's cross-process parent with a 16-hex
-// global span ID — how cpsservd parents a request span under the calling
-// client's span from its traceparent header, per request rather than per
-// process. A local parent link, when present, takes precedence in exports.
-func (s *Span) SetRemoteParent(gid string) {
-	if s != nil && gid != "" {
-		s.mu.Lock()
-		s.rec.RemoteParent = gid
 		s.mu.Unlock()
 	}
 }

@@ -18,7 +18,7 @@
 //     internal/atomicio at sweep end (cpsexp -metrics).
 //   - expvar: PublishExpvar registers the full snapshot under
 //     "cpsguard.telemetry" for any expvar scraper.
-//   - ServeDebug: an opt-in HTTP endpoint (cpsexp -debug-addr) serving
+//   - ServeDebugWith: an opt-in HTTP endpoint (cpsexp -debug-addr) serving
 //     /metrics alongside the standard /debug/pprof and /debug/vars.
 //
 // Hot-path cost is one atomic add per event. Instrumented packages declare

@@ -243,7 +243,7 @@ func TestWriteSnapshotAtomic(t *testing.T) {
 func TestServeDebugEndpoints(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("served").Add(4)
-	srv, addr, err := r.ServeDebug("127.0.0.1:0")
+	srv, addr, err := r.ServeDebugWith("127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

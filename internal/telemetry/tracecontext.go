@@ -1,7 +1,7 @@
 // Cross-process trace propagation: a serializable trace context in the W3C
 // traceparent wire format, carried over an environment variable to child
-// cpsexp shards and over an HTTP header to cpsservd, so spans recorded in
-// different processes stitch into one fleet-wide tree.
+// cpsexp shards, so spans recorded in different processes stitch into one
+// fleet-wide tree.
 //
 // Identity model: every process owns a random 64-bit span base; a span's
 // *global* ID is the 16-hex rendering of base XOR its registry-local ID.
@@ -165,7 +165,7 @@ func (r *Registry) remoteParentID() string {
 }
 
 // SetLabel names this process in trace exports ("cpsexp", "cpsexp shard
-// 0/2", "cpsservd"); the Chrome export emits it as the process_name.
+// 0/2"); the Chrome export emits it as the process_name.
 func (r *Registry) SetLabel(label string) {
 	r.traceMu.Lock()
 	r.label = label

@@ -1,8 +1,7 @@
 // Fleet trace stitching: merge the per-process trace.json files a supervised
-// sharded sweep (or a cpsservd client plus its service) produced into one
-// Chrome trace on a shared timeline, and validate that the cross-process
-// parent links (gid/pgid args) actually resolve. cmd/cpsreport exposes this
-// as -trace-merge.
+// sharded sweep produced into one Chrome trace on a shared timeline, and
+// validate that the cross-process parent links (gid/pgid args) actually
+// resolve. cmd/cpsreport exposes this as -trace-merge.
 package telemetry
 
 import (
@@ -26,7 +25,7 @@ type TraceStats struct {
 	// Links counts spans that declare a parent (local or remote).
 	Links int `json:"links"`
 	// CrossProcessLinks counts links whose parent span lives in a
-	// different PID — the supervisor→shard and client→service edges.
+	// different PID — the supervisor→shard edges.
 	CrossProcessLinks int `json:"cross_process_links"`
 	// UnresolvedParents counts links whose parent global ID matches no
 	// span in the trace (e.g. the parent was evicted from its ring).

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"cpsguard/internal/telemetry"
+	"cpsguard/internal/telemetry/promtest"
 
 	// Imported for their init-time instrument registration: the lint can
 	// only see names that reached the default registry.
@@ -23,7 +24,6 @@ import (
 	_ "cpsguard/internal/milp"
 	_ "cpsguard/internal/parallel"
 	_ "cpsguard/internal/repeated"
-	_ "cpsguard/internal/servd"
 	_ "cpsguard/internal/shard"
 	_ "cpsguard/internal/solvecache"
 )
@@ -62,7 +62,7 @@ func TestMetricNamesMangleInjectively(t *testing.T) {
 func TestDefaultRegistryExpositionParses(t *testing.T) {
 	// The full default registry — every package's instruments, whatever
 	// their current values — must render a strictly parseable exposition.
-	if _, _, err := telemetry.ParsePrometheus(telemetry.Default().PrometheusText()); err != nil {
+	if _, _, err := promtest.Parse(telemetry.Default().PrometheusText()); err != nil {
 		t.Fatalf("default registry exposition failed the strict parser: %v", err)
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"testing"
 
 	"cpsguard/internal/telemetry"
+	"cpsguard/internal/telemetry/promtest"
 )
 
 func buildTool(t *testing.T, dir, name string) string {
@@ -124,7 +125,7 @@ func TestObsSmokePromEndpoint(t *testing.T) {
 		return body
 	}
 	first := scrape()
-	if _, _, err := telemetry.ParsePrometheus(first); err != nil {
+	if _, _, err := promtest.Parse(first); err != nil {
 		t.Fatalf("live exposition failed the strict parser: %v", err)
 	}
 	if !bytes.Equal(first, scrape()) {
