@@ -1,8 +1,12 @@
 GO ?= go
 
-.PHONY: ci vet build test race bench bench-paper bench-smoke fuzz-smoke revised-smoke crash-resume shard-smoke obs-smoke screen-smoke perfbench-smoke repro clean
+.PHONY: ci fmt vet build test race bench bench-paper bench-smoke fuzz-smoke revised-smoke crash-resume shard-smoke obs-smoke screen-smoke perfbench-smoke repro clean
 
-ci: vet build race bench-smoke fuzz-smoke revised-smoke crash-resume shard-smoke obs-smoke screen-smoke perfbench-smoke repro
+ci: fmt vet build race bench-smoke fuzz-smoke revised-smoke crash-resume shard-smoke obs-smoke screen-smoke perfbench-smoke repro
+
+# Formatting gate: fails when gofmt would rewrite any file, listing them.
+fmt:
+	@out=$$(gofmt -l .) && test -z "$$out" || { echo "gofmt needed:"; echo "$$out"; exit 1; }
 
 vet:
 	$(GO) vet ./...
@@ -60,10 +64,11 @@ fuzz-smoke:
 	$(GO) test ./internal/adversary/ -run=^$$ -fuzz=FuzzAdversaryExact -fuzztime=5s
 
 # Revised-vs-dense differential smoke: the dense-oracle battery (fixtures,
-# outage sweeps, seeded random LPs, error taxonomy) on the sparse solver.
-# Part of ci.
+# outage sweeps, seeded random LPs, error taxonomy) on the sparse solver,
+# and the pivot-total and solution-bit locks of both backends, cold and
+# warm-started, on the stressed westgrid outage sweep. Part of ci.
 revised-smoke:
-	$(GO) test ./internal/lp/ -run 'TestRevisedVsDenseDifferential|TestRevisedWarmAcrossMethods' -count=1
+	$(GO) test ./internal/lp/ -run 'TestRevisedVsDenseDifferential|TestRevisedWarmAcrossMethods|TestWestgridSweepLocks' -count=1
 
 # Crash-resume acceptance: a sweep killed mid-run and resumed from its
 # journal — including over a deliberately torn journal tail — must render

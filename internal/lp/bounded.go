@@ -10,7 +10,14 @@
 // ~150 rows to ~50; BenchmarkLPMethodRows and BenchmarkLPMethodBounded
 // measure the difference.
 //
-// MethodAuto runs this solver on every problem up to denseMaxRows
+// MethodBounded and MethodRevised are one engine: the standard form
+// (sparse.go), the two phases, the pivot loop with its ratio test, flips
+// and anti-cycling switch, the warm re-entry (warmstart.go) and the
+// solution assembly live here once. They differ only in the linear algebra
+// behind the linalg interface: a dense B⁻¹A tableau carrying its reduced
+// costs (dense.go), or a sparse LU of the basis priced by BTRAN (revised.go).
+//
+// MethodAuto runs the dense backend on every problem up to denseMaxRows
 // constraint rows. Results (objective, primal values, row duals, bound
 // duals) agree with MethodRows to solver tolerance; the cross-check is
 // TestMethodsAgree in bounded_test.go.
@@ -33,11 +40,11 @@ const (
 	// (smaller basis and incrementally updated reduced costs; ~30× faster
 	// on the westgrid dispatch LP).
 	MethodBounded
-	// MethodRevised is the sparse revised simplex (revised.go): CSC column
-	// storage, LU-factorized basis with product-form eta updates, sparse
-	// FTRAN/BTRAN and partial pricing. Same standard form and pivot rules
-	// as MethodBounded, O(nnz) per pivot instead of O(m·nTotal) — the only
-	// method that scales to the national gridgen tier.
+	// MethodRevised is the bounded engine on the sparse backend
+	// (revised.go): CSC column storage, LU-factorized basis with
+	// product-form eta updates, sparse FTRAN/BTRAN and partial pricing.
+	// O(nnz) per pivot instead of O(m·nTotal) — the only method that
+	// scales to the national gridgen tier.
 	MethodRevised
 )
 
@@ -118,259 +125,247 @@ const (
 	inBasis
 )
 
-// boundedTableau is the working state of the bounded-variable simplex in
-// dense tableau form: a holds B⁻¹A for all columns, rhs holds the basic
-// variable *values* (already adjusted for nonbasic-at-upper offsets), and rc
-// holds the reduced costs of the objective the running simplex call
-// minimizes.
-type boundedTableau struct {
+// statusNumerical is an internal status: the sparse backend's LU
+// refactorization found the basis numerically singular mid-solve. The
+// caller falls back to the dense backend, which pivots through
+// near-singularity instead of factoring.
+const statusNumerical Status = -2
+
+// linalg is the linear algebra behind the bounded simplex: everything that
+// depends on how B⁻¹ is represented. The engine calls it once per pivot,
+// never once per matrix element.
+type linalg interface {
+	// begin starts a simplex phase minimizing c.
+	begin(c []float64)
+	// entering picks the column to enter the basis under objective c, and
+	// the direction it moves (+1 up from its lower bound, −1 down from its
+	// upper bound); −1 when the basis is optimal.
+	entering(c []float64, bland bool) (int, float64)
+	// column returns B⁻¹A_j in basis-slot order. The engine reads it until
+	// the next pivot.
+	column(j int) []float64
+	// pivot absorbs the basis change the engine just made: column enter
+	// became basic in slot leave. False means the new basis is numerically
+	// singular.
+	pivot(leave, enter int) bool
+	// warm factorizes the basis whose columns are rows (in any slot
+	// order), fills the engine's basis slots and sets its basic values
+	// from the right-hand side and the nonbasic columns at their upper
+	// bound. False means the basis is singular for this problem.
+	warm(rows []int) bool
+	// duals solves Bᵀy = c_B at the final basis with the phase-2 costs.
+	duals() ([]float64, bool)
+	// reducedCost is cost_j − yᵀA_j.
+	reducedCost(y []float64, j int) float64
+	// flush books the backend's work counters.
+	flush()
+}
+
+// boundedSimplex is the state of the bounded-variable simplex: which
+// column is basic in each slot, where every nonbasic column rests, and the
+// basic values.
+type boundedSimplex struct {
 	tol        float64
 	skipDuals  bool
 	forceBland bool
 	g          *guard
 	p          *Problem
+	// sf is owned by the solve: its rhs becomes xb and its upper the
+	// per-column bounds, both mutated in place.
+	sf *standardForm
+	la linalg
 
-	n      int // structural variables
-	m      int // rows (user constraints only)
-	nTotal int // structural + slack/artificial columns
-
-	a     [][]float64
-	rc    []float64 // reduced-cost row: one more row of a's backing array
-	rhs   []float64
-	upper []float64 // per column (slacks: +Inf, artificials: 0 after phase 1)
-	cost  []float64 // phase-2 cost per column
-
-	basis  []int  // column basic in each row
-	status []int8 // per column
-	art    []bool // per column: is artificial
+	basis  []int     // slot → basic column
+	status []int8    // per column
+	upper  []float64 // per column (artificials clamped to 0 after phase 1)
+	xb     []float64 // slot → basic value
 
 	iters int
 	max   int
 }
 
-// solveBounded is the entry point used by Problem.SolveOpts for
-// MethodBounded.
-func solveBounded(p *Problem, opts Options, g *guard) (*Solution, error) {
+// solveBounded solves p with the bounded simplex on the backend of method
+// (MethodBounded or MethodRevised): warm from opts.WarmStart when it
+// applies, otherwise cold from both phases.
+func solveBounded(p *Problem, opts Options, g *guard, method Method) (*Solution, error) {
+	if method == MethodRevised {
+		mRevSolves.Inc()
+	}
 	if opts.WarmStart != nil {
-		if sol, err, ok := solveBoundedWarm(p, opts, g); ok {
+		if sol, err, ok := solveWarm(p, opts, g, method); ok {
 			return sol, err
 		}
 		mWarmFallbacks.Inc()
 	}
-	t := newBoundedTableau(p, opts)
-	t.g = g
-	st := t.run()
-	switch st {
+	s := newBoundedSimplex(p, opts, g, method)
+	defer s.la.flush()
+	switch st := s.run(); st {
 	case statusAborted:
-		return nil, p.solveErr("lp.pivot", Optimal, t.iters, g.err)
+		return nil, p.solveErr("lp.pivot", Optimal, s.iters, g.err)
+	case statusNumerical:
+		// Correctness is never affected by the hand-over — only cost —
+		// and the event is counted.
+		mRevDenseFallbacks.Inc()
+		opts.WarmStart = nil
+		sol, err := solveBounded(p, opts, g, MethodBounded)
+		if sol != nil {
+			sol.Iterations += s.iters
+		}
+		return sol, err
 	case Infeasible, Unbounded, IterationLimit, Canceled, DeadlineExceeded:
-		return &Solution{Status: st, Iterations: t.iters}, nil
+		return &Solution{Status: st, Iterations: s.iters}, nil
 	}
-	return t.extract(p)
+	return s.extract()
 }
 
-func newBoundedTableau(p *Problem, opts Options) *boundedTableau {
-	t := &boundedTableau{tol: opts.tol(), skipDuals: opts.SkipDuals, forceBland: opts.ForceBland, p: p}
-	t.n = len(p.obj)
-	t.m = len(p.rows)
-
-	maxCols := t.n + 2*t.m
-	t.a = make([][]float64, t.m)
-	backing := make([]float64, (t.m+1)*maxCols)
-	for i := range t.a {
-		t.a[i] = backing[i*maxCols : (i+1)*maxCols]
+func newBoundedSimplex(p *Problem, opts Options, g *guard, method Method) *boundedSimplex {
+	sf := newStandardForm(p)
+	s := &boundedSimplex{
+		tol:        opts.tol(),
+		skipDuals:  opts.SkipDuals,
+		forceBland: opts.ForceBland,
+		g:          g,
+		p:          p,
+		sf:         sf,
+		basis:      sf.startBasis,
+		status:     make([]int8, sf.nTotal),
+		upper:      sf.upper,
+		xb:         sf.rhs,
+		max:        opts.maxIter(sf.m, sf.nTotal),
 	}
-	t.rc = backing[t.m*maxCols:]
-	t.rhs = make([]float64, t.m)
-	t.upper = make([]float64, 0, maxCols)
-	t.cost = make([]float64, 0, maxCols)
-	t.basis = make([]int, t.m)
-	t.status = make([]int8, 0, maxCols)
-	t.art = make([]bool, 0, maxCols)
-
-	for j := 0; j < t.n; j++ {
-		t.upper = append(t.upper, p.upper[j])
-		t.cost = append(t.cost, p.obj[j])
-		t.status = append(t.status, atLower)
-		t.art = append(t.art, false)
+	for _, c := range s.basis {
+		s.status[c] = inBasis
 	}
-
-	// Normalize rows to b ≥ 0 and add slack/artificial columns.
-	t.nTotal = loadStandardForm(t.a, p)
-	addCol := func(isArt bool) int {
-		t.upper = append(t.upper, math.Inf(1))
-		t.cost = append(t.cost, 0)
-		t.status = append(t.status, atLower)
-		t.art = append(t.art, isArt)
-		return len(t.art) - 1
+	if method == MethodRevised {
+		s.la = newSparseLU(s)
+	} else {
+		s.la = newDenseTableau(s)
 	}
-	for i, row := range p.rows {
-		s, flip := normalizedSense(row)
-		t.rhs[i] = row.RHS
-		if flip {
-			t.rhs[i] = -row.RHS
-		}
-		var c int
-		switch s {
-		case LE:
-			c = addCol(false)
-		case GE:
-			addCol(false) // surplus
-			c = addCol(true)
-		case EQ:
-			c = addCol(true)
-		default:
-			continue
-		}
-		t.basis[i] = c
-		t.status[c] = inBasis
-	}
-	t.max = opts.maxIter(t.m, t.nTotal)
-	return t
+	return s
 }
 
 // run executes both phases. Returns Optimal on success.
-func (t *boundedTableau) run() Status {
+func (s *boundedSimplex) run() Status {
+	sf := s.sf
 	hasArt := false
-	for _, isArt := range t.art {
+	for _, isArt := range sf.art {
 		if isArt {
 			hasArt = true
 			break
 		}
 	}
 	if hasArt {
-		c1 := make([]float64, t.nTotal)
-		for j, isArt := range t.art {
+		c1 := make([]float64, sf.nTotal)
+		for j, isArt := range sf.art {
 			if isArt {
 				c1[j] = 1
 			}
 		}
-		if st := t.simplex(c1); st != Optimal {
+		if st := s.simplex(c1); st != Optimal {
 			return st
 		}
 		// Infeasible if any artificial remains positive.
 		artSum := 0.0
-		for i, bc := range t.basis {
-			if t.art[bc] {
-				artSum += t.rhs[i]
+		for i, bc := range s.basis {
+			if sf.art[bc] {
+				artSum += s.xb[i]
 			}
 		}
 		scale := 1.0
-		for _, v := range t.rhs {
+		for _, v := range s.xb {
 			if v > scale {
 				scale = v
 			}
 		}
-		if artSum > t.tol*scale*float64(t.m+1)*100 {
+		if artSum > s.tol*scale*float64(sf.m+1)*100 {
 			return Infeasible
 		}
 		// Clamp artificials to zero: cap their bounds so they cannot
 		// re-enter at positive value in phase 2.
-		for j, isArt := range t.art {
-			if isArt {
-				t.upper[j] = 0
-			}
-		}
+		s.clampArtificials()
 	}
-	return t.simplex(t.cost)
+	return s.simplex(sf.cost)
 }
 
-// value returns the current value of column j.
-func (t *boundedTableau) value(j int) float64 {
-	switch t.status[j] {
-	case atUpper:
-		return t.upper[j]
-	case inBasis:
-		for i, bc := range t.basis {
-			if bc == j {
-				return t.rhs[i]
-			}
+func (s *boundedSimplex) clampArtificials() {
+	for j, isArt := range s.sf.art {
+		if isArt {
+			s.upper[j] = 0
 		}
 	}
-	return 0
 }
 
-// simplex runs bounded-variable pivots minimizing c over the current state.
-//
-// Pricing is incremental: the reduced-cost row is computed once on entry and
-// then carried through each pivot as one more elimination step (bound flips
-// leave it unchanged), so choosing the entering column costs O(nTotal)
-// instead of O(m·nTotal). Because the carried row accumulates rounding that
-// a fresh pricing would not, optimality is only declared after re-pricing
-// from scratch; if that reveals an improving column, pivoting continues.
-func (t *boundedTableau) simplex(c []float64) Status {
-	bland := t.forceBland
+// simplex runs bounded-variable pivots minimizing c over the current state:
+// Dantzig pricing with first-lowest-index ties (the backend's entering),
+// a switch to Bland's rule after 2·(m+10) pivots without objective
+// progress, and a ratio test whose ties go to the lower basic column.
+func (s *boundedSimplex) simplex(c []float64) Status {
+	m, nTotal := s.sf.m, s.sf.nTotal
+	bland := s.forceBland
 	noProgress := 0
 	lastObj := math.Inf(1)
-	t.price(c)
-	fresh := true
-	for t.iters < t.max {
-		if t.g.due(t.iters) {
-			if st, stop := t.g.at("lp.pivot"); stop {
+	s.la.begin(c)
+	for s.iters < s.max {
+		if s.g.due(s.iters) {
+			if st, stop := s.g.at("lp.pivot"); stop {
 				return st
 			}
 		}
 		// Objective for progress tracking.
 		obj := 0.0
-		for j := 0; j < t.nTotal; j++ {
-			if t.status[j] == atUpper {
-				obj += c[j] * t.upper[j]
+		for j := 0; j < nTotal; j++ {
+			if s.status[j] == atUpper {
+				obj += c[j] * s.upper[j]
 			}
 		}
-		for i, bc := range t.basis {
-			obj += c[bc] * t.rhs[i]
+		for i, bc := range s.basis {
+			obj += c[bc] * s.xb[i]
 		}
-		if obj < lastObj-t.tol {
+		if obj < lastObj-s.tol {
 			lastObj = obj
 			noProgress = 0
-		} else if noProgress++; noProgress > 2*(t.m+10) {
+		} else if noProgress++; noProgress > 2*(m+10) {
 			if !bland {
 				mBlandSwitch.Inc()
 			}
 			bland = true
 		}
 
-		enter, enterDir := t.entering(bland)
+		enter, enterDir := s.la.entering(c, bland)
 		if enter < 0 {
-			if fresh {
-				return Optimal
-			}
-			t.price(c)
-			fresh = true
-			if enter, enterDir = t.entering(bland); enter < 0 {
-				return Optimal
-			}
+			return Optimal
 		}
+		w := s.la.column(enter)
 
 		// Ratio test: moving x_enter by Δ·enterDir changes basic values
-		// by −Δ·enterDir·column. Find the first limit among:
+		// by −Δ·enterDir·w. Find the first limit among:
 		//   (a) a basic variable reaching 0,
 		//   (b) a basic variable reaching its upper bound,
 		//   (c) x_enter reaching its own opposite bound.
 		limit := math.Inf(1)
-		if u := t.upper[enter]; !math.IsInf(u, 1) {
+		if u := s.upper[enter]; !math.IsInf(u, 1) {
 			limit = u // case (c): full flip distance
 		}
 		leave := -1
 		leaveToUpper := false
-		for i := 0; i < t.m; i++ {
-			coef := enterDir * t.a[i][enter]
-			bc := t.basis[i]
-			if coef > t.tol {
+		for i := 0; i < m; i++ {
+			coef := enterDir * w[i]
+			bc := s.basis[i]
+			if coef > s.tol {
 				// Basic value decreases toward 0.
-				ratio := t.rhs[i] / coef
-				if ratio < limit-t.tol ||
-					(ratio < limit+t.tol && leave >= 0 && bc < t.basis[leave]) {
+				ratio := s.xb[i] / coef
+				if ratio < limit-s.tol ||
+					(ratio < limit+s.tol && leave >= 0 && bc < s.basis[leave]) {
 					limit = ratio
 					leave = i
 					leaveToUpper = false
 				}
-			} else if coef < -t.tol {
+			} else if coef < -s.tol {
 				// Basic value increases toward its upper bound.
-				if ub := t.upper[bc]; !math.IsInf(ub, 1) {
-					ratio := (ub - t.rhs[i]) / -coef
-					if ratio < limit-t.tol ||
-						(ratio < limit+t.tol && leave >= 0 && bc < t.basis[leave]) {
+				if ub := s.upper[bc]; !math.IsInf(ub, 1) {
+					ratio := (ub - s.xb[i]) / -coef
+					if ratio < limit-s.tol ||
+						(ratio < limit+s.tol && leave >= 0 && bc < s.basis[leave]) {
 						limit = ratio
 						leave = i
 						leaveToUpper = true
@@ -381,277 +376,108 @@ func (t *boundedTableau) simplex(c []float64) Status {
 		if math.IsInf(limit, 1) {
 			return Unbounded
 		}
-		t.iters++
+		s.iters++
+		s.move(w, enterDir, limit)
 		if leave < 0 {
 			// Bound flip: x_enter runs to its opposite bound.
-			t.flip(enter, enterDir, limit)
+			if enterDir > 0 {
+				s.status[enter] = atUpper
+			} else {
+				s.status[enter] = atLower
+			}
 			continue
 		}
-		// Pivot: shift basic values for the move, then swap basis.
-		t.move(enter, enterDir, limit)
-		var enterValue float64
-		if enterDir > 0 {
-			enterValue = limit // rose from its lower bound (0)
-		} else {
-			enterValue = t.upper[enter] - limit // fell from its upper bound
-		}
-		outCol := t.basis[leave]
+		// Pivot: swap the basis; the entering value is its distance from
+		// the bound it left.
+		outCol := s.basis[leave]
 		if leaveToUpper {
-			t.status[outCol] = atUpper
+			s.status[outCol] = atUpper
 		} else {
-			t.status[outCol] = atLower
+			s.status[outCol] = atLower
 		}
-		t.pivot(leave, enter, enterValue)
-		t.status[enter] = inBasis
-		fresh = false
-		if afterPivotHook != nil {
-			afterPivotHook(t, c)
+		if enterDir > 0 {
+			s.xb[leave] = limit // rose from its lower bound (0)
+		} else {
+			s.xb[leave] = s.upper[enter] - limit // fell from its upper bound
+		}
+		s.basis[leave] = enter
+		s.status[enter] = inBasis
+		if !s.la.pivot(leave, enter) {
+			return statusNumerical
 		}
 	}
 	return IterationLimit
 }
 
-// afterPivotHook, when non-nil, runs after every pivot of simplex with the
-// objective being minimized. It is nil outside tests (export_test.go sets it
-// to compare the carried reduced-cost row against a fresh pricing).
-var afterPivotHook func(t *boundedTableau, c []float64)
-
-// price recomputes the reduced-cost row from scratch:
-// r_j = c_j − Σ_i c_B[i]·(B⁻¹A)[i][j]. It accumulates row by row in basis
-// order, which gives every r_j the same sequence of operations — and so the
-// same bits — as summing column by column.
-func (t *boundedTableau) price(c []float64) {
-	t.priceInto(t.rc[:t.nTotal], c)
-	mPricingFull.Inc()
-}
-
-func (t *boundedTableau) priceInto(rc, c []float64) {
-	copy(rc, c[:len(rc)])
-	for i, bc := range t.basis {
-		cb := c[bc]
-		if cb == 0 {
-			continue
-		}
-		ai := t.a[i][:len(rc)]
-		for j, v := range ai {
-			rc[j] -= cb * v
-		}
-	}
-}
-
-// entering picks the entering column from the reduced-cost row: a column at
-// its lower bound with r < −tol (increase) or at its upper bound with
-// r > tol (decrease), largest improvement first (Dantzig), or the first
-// such column under Bland's rule. It returns −1 when none qualifies.
-func (t *boundedTableau) entering(bland bool) (enter int, dir float64) {
-	enter, dir = -1, 1
-	best := t.tol
-	for j, r := range t.rc[:t.nTotal] {
-		var imp, d float64
-		switch t.status[j] {
-		case atLower:
-			if r >= 0 || t.upper[j] == 0 {
-				continue // not improving, or fixed at zero (clamped artificials)
-			}
-			imp, d = -r, 1
-		case atUpper:
-			if r <= 0 {
-				continue
-			}
-			imp, d = r, -1
-		default:
-			continue
-		}
-		if imp > best {
-			best, enter, dir = imp, j, d
-			if bland {
-				break
-			}
-		}
-	}
-	return enter, dir
-}
-
-// flip moves a nonbasic column across to its other bound, adjusting basic
-// values.
-func (t *boundedTableau) flip(j int, dir, delta float64) {
-	t.move(j, dir, delta)
-	if dir > 0 {
-		t.status[j] = atUpper
-	} else {
-		t.status[j] = atLower
-	}
-}
-
-// move shifts nonbasic column j by delta in direction dir and updates the
-// basic variable values accordingly.
-func (t *boundedTableau) move(j int, dir, delta float64) {
+// move shifts the entering column, whose image is w, by delta in direction
+// dir and updates the basic values, clamping tiny negatives to zero.
+func (s *boundedSimplex) move(w []float64, dir, delta float64) {
 	if delta == 0 {
 		return
 	}
-	for i := 0; i < t.m; i++ {
-		t.rhs[i] -= dir * delta * t.a[i][j]
-		if t.rhs[i] < 0 && t.rhs[i] > -1e-11 {
-			t.rhs[i] = 0
+	xb := s.xb
+	w = w[:len(xb)]
+	for i := range xb {
+		xb[i] -= dir * delta * w[i]
+		if xb[i] < 0 && xb[i] > -1e-11 {
+			xb[i] = 0
 		}
 	}
 }
 
-// pivot performs the Gauss-Jordan elimination making column col basic in
-// row `row`. Unlike the rows-method tableau, rhs stores basic-variable
-// *values*, which are unchanged for rows other than `row` by a basis swap;
-// only row `row` is rewritten to the entering variable's value (enterValue,
-// computed by the caller from the ratio-test limit). The reduced-cost row is
-// eliminated like any other row, and its entering entry set to exactly 0.
-func (t *boundedTableau) pivot(row, col int, enterValue float64) {
-	piv := t.a[row][col]
-	inv := 1 / piv
-	ar := t.a[row][:t.nTotal]
-	for j := range ar {
-		ar[j] *= inv
-	}
-	t.rhs[row] = enterValue
-	for i := 0; i < t.m; i++ {
-		if i == row {
-			continue
-		}
-		f := t.a[i][col]
-		if f == 0 {
-			continue
-		}
-		ai := t.a[i][:len(ar)]
-		for j, v := range ar {
-			ai[j] -= f * v
-		}
-	}
-	if f := t.rc[col]; f != 0 {
-		rc := t.rc[:len(ar)]
-		for j, v := range ar {
-			rc[j] -= f * v
-		}
-	}
-	t.rc[col] = 0
-	t.basis[row] = col
-}
-
-// extract reads out the solution and recovers duals by solving Bᵀy = c_B
-// against the original (pre-pivot) standard-form matrix.
-func (t *boundedTableau) extract(p *Problem) (*Solution, error) {
+// extract assembles the optimal solution: primal values from the bounds and
+// basic values, row duals from the backend's Bᵀy = c_B solve (sign-mapped
+// back through the RHS normalization), and bound duals as the reduced costs
+// of structural columns nonbasic at their upper bound (relaxing u_j by δ
+// changes the optimum by r_j·δ ≤ 0).
+func (s *boundedSimplex) extract() (*Solution, error) {
+	sf := s.sf
 	sol := &Solution{
 		Status:     Optimal,
-		X:          make([]float64, t.n),
-		Duals:      make([]float64, t.m),
-		BoundDuals: make([]float64, t.n),
-		Iterations: t.iters,
+		X:          make([]float64, sf.n),
+		Duals:      make([]float64, sf.m),
+		BoundDuals: make([]float64, sf.n),
+		Iterations: s.iters,
 	}
-	for j := 0; j < t.n; j++ {
-		v := t.value(j)
-		if math.Abs(v) < 1e-12 {
-			v = 0
+	for j := range sol.X {
+		if s.status[j] == atUpper {
+			sol.X[j] = s.upper[j]
 		}
-		sol.X[j] = v
+	}
+	for i, bc := range s.basis {
+		if bc < sf.n {
+			sol.X[bc] = s.xb[i]
+		}
 	}
 	obj := 0.0
 	for j, x := range sol.X {
-		obj += p.obj[j] * x
+		if math.Abs(x) < 1e-12 {
+			x = 0
+			sol.X[j] = 0
+		}
+		obj += s.p.obj[j] * x
 	}
 	sol.Objective = obj
-	sol.basis = t.captureBasis()
+	sol.basis = s.captureBasis()
 
-	if t.skipDuals {
+	if s.skipDuals {
 		return sol, nil
 	}
-	// Rebuild original standard-form columns.
-	orig := t.originalMatrix(p)
-	bt := make([][]float64, t.m)
-	for i := range bt {
-		bt[i] = make([]float64, t.m+1)
-	}
-	for k, bc := range t.basis {
-		for i := 0; i < t.m; i++ {
-			bt[k][i] = orig[i][bc]
-		}
-		bt[k][t.m] = t.cost[bc]
-	}
-	y, ok := solveDense(bt)
+	y, ok := s.la.duals()
 	if !ok {
-		return nil, p.solveErr("dual-extraction", Optimal, t.iters, ErrSingularBasis)
+		return nil, s.p.solveErr("dual-extraction", Optimal, s.iters, ErrSingularBasis)
 	}
-	for i, row := range p.rows {
+	for i, row := range s.p.rows {
 		d := y[i]
 		if row.RHS < 0 {
 			d = -d
 		}
 		sol.Duals[i] = d
 	}
-	// Bound duals: reduced cost of structural variables nonbasic at their
-	// upper bound (relaxing u_j by δ changes the optimum by r_j·δ ≤ 0).
-	for j := 0; j < t.n; j++ {
-		if t.status[j] != atUpper {
-			continue
+	for j := range sol.BoundDuals {
+		if s.status[j] == atUpper {
+			sol.BoundDuals[j] = s.la.reducedCost(y, j)
 		}
-		r := t.cost[j]
-		for i := 0; i < t.m; i++ {
-			r -= y[i] * orig[i][j]
-		}
-		sol.BoundDuals[j] = r
 	}
 	return sol, nil
-}
-
-// originalMatrix reconstructs the pre-pivot standard-form matrix for dual
-// extraction. The pivoted tableau is dead once extraction starts, so the
-// matrix is rebuilt in its rows rather than in a fresh allocation.
-func (t *boundedTableau) originalMatrix(p *Problem) [][]float64 {
-	for _, row := range t.a {
-		clear(row)
-	}
-	loadStandardForm(t.a, p)
-	return t.a
-}
-
-// normalizedSense returns the sense of row once it is negated to a
-// nonnegative right-hand side, and whether it was negated.
-func normalizedSense(row Constraint) (s Sense, flip bool) {
-	if row.RHS < 0 {
-		switch row.Sense {
-		case LE:
-			return GE, true
-		case GE:
-			return LE, true
-		}
-		return row.Sense, true
-	}
-	return row.Sense, false
-}
-
-// loadStandardForm writes the standard-form matrix of p into the zeroed rows
-// of a: each row's structural coefficients (negated with a negative RHS),
-// then, from column n on and in row order, one slack column per ≤ row, a
-// surplus and an artificial column per ≥ row and an artificial column per
-// = row. It returns the total column count.
-func loadStandardForm(a [][]float64, p *Problem) int {
-	for i, row := range p.rows {
-		_, flip := normalizedSense(row)
-		for _, co := range row.Coefs {
-			v := co.Value
-			if flip {
-				v = -v
-			}
-			a[i][co.Var] += v
-		}
-	}
-	col := len(p.obj)
-	for i, row := range p.rows {
-		switch s, _ := normalizedSense(row); s {
-		case LE, EQ:
-			a[i][col] = 1
-			col++
-		case GE:
-			a[i][col] = -1 // surplus
-			a[i][col+1] = 1
-			col += 2
-		}
-	}
-	return col
 }

@@ -15,9 +15,6 @@ import (
 // variables. Match with errors.Is.
 var ErrSingularBasis = errors.New("lp: singular basis during dual extraction")
 
-// errSingularBasis is the historical unexported alias.
-var errSingularBasis = ErrSingularBasis
-
 // SolveError is the structured error taxonomy of the solve pipeline. Every
 // failure escaping a solver carries the problem name, the stage that failed,
 // the last known status, and the iteration count at failure, so that a

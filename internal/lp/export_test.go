@@ -8,16 +8,16 @@ import (
 	"cpsguard/internal/rng"
 )
 
-// SetPricingCheck makes every pivot of the bounded simplex call f with the
+// SetPricingCheck makes every pivot of the dense backend call f with the
 // reduced-cost row the tableau carries, a fresh pricing of the same state,
 // and the objective being minimized. It returns a function that restores
 // the previous hook. Tests must not run in parallel while it is set.
 func SetPricingCheck(f func(incremental, full, c []float64)) (restore func()) {
 	old := afterPivotHook
-	afterPivotHook = func(t *boundedTableau, c []float64) {
-		full := make([]float64, t.nTotal)
-		t.priceInto(full, c)
-		f(t.rc[:t.nTotal], full, c[:t.nTotal])
+	afterPivotHook = func(d *denseTableau) {
+		full := make([]float64, len(d.rc))
+		d.priceInto(full, d.c)
+		f(d.rc, full, d.c[:len(d.rc)])
 	}
 	return func() { afterPivotHook = old }
 }

@@ -14,12 +14,14 @@
 //	subject to aᵢᵀx {≤,=,≥} bᵢ   for each constraint i
 //	           0 ≤ xⱼ ≤ uⱼ       for each variable j (uⱼ may be +Inf)
 //
-// Three implementations share this interface (Options.Method). By default
-// (Method.resolve) problems with up to a few hundred constraint rows run the
-// bounded-variable dense tableau (bounded.go) and larger ones the sparse
-// revised simplex (revised.go). MethodRows, in this file, lowers upper
-// bounds onto explicit ≤ rows, which keeps the pivot logic to the textbook
-// standard form; it is the reference the bounded tableau is tested against.
+// Three methods share this interface (Options.Method). MethodBounded and
+// MethodRevised are one bounded-variable engine (bounded.go) on two
+// linear-algebra backends: a dense tableau (dense.go) and a sparse LU
+// (revised.go). By default (Method.resolve) problems with up to a few
+// hundred constraint rows run the dense backend and larger ones the sparse
+// one. MethodRows, in this file, lowers upper bounds onto explicit ≤ rows,
+// which keeps the pivot logic to the textbook standard form; it is separate
+// code, the reference the bounded engine is tested against.
 // Every method reports bound duals (the reduced-cost rents used by the
 // marginal-cost profit division in package actors) alongside the row duals.
 package lp
@@ -262,10 +264,10 @@ type Options struct {
 	Hook Hook
 	// WarmStart, when non-nil, re-enters phase 2 from the supplied basis
 	// (typically Solution.Basis() of a structurally identical problem),
-	// skipping phase 1. A basis that is stale — wrong dimensions, wrong
-	// method, singular or primal infeasible for this problem — is rejected
-	// and the solve falls back to the cold two-phase path, so results are
-	// never affected, only cost. See warmstart.go.
+	// skipping phase 1. A basis that is stale — wrong dimensions, singular
+	// or primal infeasible for this problem — is rejected and the solve
+	// falls back to the cold two-phase path, so results are never
+	// affected, only cost. See warmstart.go.
 	WarmStart *Basis
 }
 
@@ -320,7 +322,7 @@ func (p *Problem) SolveOpts(opts Options) (sol *Solution, err error) {
 	}()
 	switch opts.Method.resolve(p) {
 	case MethodBounded:
-		sol, err = solveBounded(p, opts, g)
+		sol, err = solveBounded(p, opts, g, MethodBounded)
 		// Under MethodAuto a dense answer that hit the pivot cap or
 		// violates a row is handed to the sparse solver, which
 		// refactorizes its basis. An explicit MethodBounded stays
@@ -330,14 +332,14 @@ func (p *Problem) SolveOpts(opts Options) (sol *Solution, err error) {
 			mAutoResolves.Inc()
 			wasted := sol.Iterations
 			opts.WarmStart = nil
-			sol, err = solveRevised(p, opts, g)
+			sol, err = solveBounded(p, opts, g, MethodRevised)
 			if sol != nil {
 				sol.Iterations += wasted
 			}
 		}
 		return sol, err
 	case MethodRevised:
-		return solveRevised(p, opts, g)
+		return solveBounded(p, opts, g, MethodRevised)
 	}
 	t, err := newTableau(p, opts)
 	if err != nil {
@@ -803,7 +805,7 @@ func (t *tableau) duals() ([]float64, error) {
 	}
 	y, ok := solveDense(bt)
 	if !ok {
-		return nil, errSingularBasis
+		return nil, ErrSingularBasis
 	}
 	return y, nil
 }

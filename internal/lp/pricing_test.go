@@ -5,11 +5,14 @@
 package lp_test
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"testing"
 
 	"cpsguard/internal/flow"
+	"cpsguard/internal/graph"
 	"cpsguard/internal/lp"
 )
 
@@ -96,4 +99,117 @@ func TestIncrementalPricingDrift(t *testing.T) {
 			worst, worstAt, pricingTol)
 	}
 	t.Logf("%d pivots checked, worst drift %.3g × scale", pivots, worst)
+}
+
+// westgridSweepLocks pin, for each way of running the stressed westgrid
+// baseline plus its 86 single-edge outages, the pivot total, the number of
+// outages solved on the warm path and an FNV-64a hash of the float bits of
+// every solution's X, Duals and BoundDuals. The first row repeats
+// westgridSweepIterations for the cold bounded path; the other three cover
+// what no golden fixture does: the sparse solver, and warm re-entry from the
+// baseline basis on each method. Any change means a pivot path or an
+// extracted bit moved.
+var westgridSweepLocks = []struct {
+	method lp.Method
+	warm   bool
+	pivots int
+	warmOK int
+	hash   uint64
+}{
+	{lp.MethodBounded, false, westgridSweepIterations, 0, 0x53d7853fdfdd276f},
+	{lp.MethodRevised, false, 11560, 0, 0x2b1ccce3305c6f7f},
+	{lp.MethodBounded, true, 5506, 45, 0xc92f6e6b41d0a4e2},
+	{lp.MethodRevised, true, 5506, 45, 0x3b5fca3d53296e5b},
+}
+
+func TestWestgridSweepLocks(t *testing.T) {
+	base := loadGrids(t)["westgrid_stressed"]
+	if base == nil {
+		t.Fatal("testdata/grids/westgrid_stressed.json missing")
+	}
+	ids := base.AssetIDs()
+	for _, lock := range westgridSweepLocks {
+		name := fmt.Sprintf("%v/warm=%v", lock.method, lock.warm)
+		h := fnv.New64a()
+		var buf [8]byte
+		hashFloats := func(vs []float64) {
+			for _, v := range vs {
+				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+				h.Write(buf[:])
+			}
+		}
+		solve := func(g *graph.Graph, warm *lp.Basis) *lp.Solution {
+			sol, err := dispatchProblem(g).SolveOpts(lp.Options{Method: lock.method, WarmStart: warm})
+			if err != nil || sol.Status != lp.Optimal {
+				t.Fatalf("%s: status %v, err %v", name, statusOf(sol), err)
+			}
+			hashFloats(sol.X)
+			hashFloats(sol.Duals)
+			hashFloats(sol.BoundDuals)
+			return sol
+		}
+		baseSol := solve(base, nil)
+		pivots, warmOK := baseSol.Iterations, 0
+		var warm *lp.Basis
+		if lock.warm {
+			warm = baseSol.Basis()
+		}
+		for _, id := range ids {
+			out := base.Clone()
+			out.Edge(id).Capacity = 0
+			sol := solve(out, warm)
+			pivots += sol.Iterations
+			if sol.WarmStarted {
+				warmOK++
+			}
+		}
+		if pivots != lock.pivots || warmOK != lock.warmOK || h.Sum64() != lock.hash {
+			t.Errorf("%s: %d pivots, %d warm, hash %#x; want %d, %d, %#x",
+				name, pivots, warmOK, h.Sum64(), lock.pivots, lock.warmOK, lock.hash)
+		}
+	}
+}
+
+// dispatchProblem builds the dispatch LP flow.DispatchOpts solves for g
+// (flow.go's builder: one flow, generation and load variable per edge,
+// supplier and consumer, one conservation row per connected vertex), so the
+// locks can read the raw solution vectors.
+func dispatchProblem(g *graph.Graph) *lp.Problem {
+	p := lp.NewProblem()
+	fVar := make([]int, len(g.Edges))
+	for i, e := range g.Edges {
+		fVar[i] = p.AddVariable("f:"+e.ID, e.Cost, e.Capacity)
+	}
+	gVar := make([]int, len(g.Vertices))
+	xVar := make([]int, len(g.Vertices))
+	for i, v := range g.Vertices {
+		gVar[i], xVar[i] = -1, -1
+		if v.Supply > 0 {
+			gVar[i] = p.AddVariable("g:"+v.ID, v.SupplyCost, v.Supply)
+		}
+		if v.Demand > 0 {
+			xVar[i] = p.AddVariable("x:"+v.ID, -v.Price, v.Demand)
+		}
+	}
+	for i, v := range g.Vertices {
+		var coefs []lp.Coef
+		for j, e := range g.Edges {
+			if e.To == v.ID {
+				coefs = append(coefs, lp.Coef{Var: fVar[j], Value: 1})
+			}
+			if e.From == v.ID {
+				coefs = append(coefs, lp.Coef{Var: fVar[j], Value: -1 / (1 - e.Loss)})
+			}
+		}
+		if gVar[i] >= 0 {
+			coefs = append(coefs, lp.Coef{Var: gVar[i], Value: 1})
+		}
+		if xVar[i] >= 0 {
+			coefs = append(coefs, lp.Coef{Var: xVar[i], Value: -1})
+		}
+		if len(coefs) > 0 {
+			p.AddConstraint(lp.Constraint{Coefs: coefs, Sense: lp.EQ, RHS: 0})
+		}
+	}
+	return p
 }

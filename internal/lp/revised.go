@@ -1,30 +1,23 @@
-// Sparse revised simplex with bounded variables.
+// Sparse revised backend of the bounded simplex (MethodRevised).
 //
-// MethodRevised solves the same bounded-variable standard form as
-// MethodBounded (bounded.go) but never materializes the dense B⁻¹A tableau.
-// It keeps the constraint matrix in CSC form (sparse.go), represents B⁻¹ as
-// a sparse LU factorization plus product-form eta updates (lu.go), prices
-// with a BTRAN solve per iteration (partial pricing above a size threshold),
-// and runs the ratio test on the FTRAN image of the entering column. Per
-// pivot the work is O(nnz) instead of O(m·nTotal), which is what makes the
-// national-scale gridgen tier tractable (BenchmarkRevisedNationalGrid).
+// The backend never materializes the dense B⁻¹A tableau. It keeps the
+// standard form's CSC matrix (sparse.go), represents B⁻¹ as a sparse LU
+// factorization plus product-form eta updates (lu.go), prices with a BTRAN
+// solve per iteration (partial pricing above a size threshold), and hands
+// the engine the FTRAN image of the entering column. Per pivot the work is
+// O(nnz) instead of O(m·nTotal), which is what makes the national-scale
+// gridgen tier tractable (BenchmarkRevisedNationalGrid).
 //
-// Determinism contract vs the dense oracle (DESIGN.md §15): the pivot rules
-// — Dantzig entering with first-lowest-index ties, the Bland anti-cycling
-// switch, the ratio-test tolerances and tie-breaks, the bound-flip and
-// clamping behavior — are copied from boundedTableau.simplex line for line,
-// so both methods walk equivalent vertex paths; only the floating-point
-// route to each number differs (reduced costs come from y = B⁻ᵀc_B instead
-// of the accumulated tableau). Sparse arithmetic therefore agrees with the
-// oracle to 1e-9 but not to the last ulp — refactorization rounds
-// differently than accumulated pivoting, the same reason §12 calls warm
-// starts tolerance-pure. MethodAuto only picks this solver above the dense
+// The pivot rules are the engine's (bounded.go), so both backends walk the
+// same vertex path as long as they pick the same entering columns; only
+// the floating-point route to each number differs (reduced costs come from
+// y = B⁻ᵀc_B instead of the carried tableau row). Sparse arithmetic
+// therefore agrees with the dense backend to 1e-9 but not to the last ulp
+// (DESIGN.md §15). MethodAuto only picks this backend above the dense
 // crossover (Method.resolve), so the paper figures stay on the dense path;
-// an explicit MethodRevised runs the sparse solve and extraction at every
-// size, and TestRevisedVsDenseDifferential proves the 1e-9 agreement.
+// an explicit MethodRevised runs it at every size, and
+// TestRevisedVsDenseDifferential proves the 1e-9 agreement.
 package lp
-
-import "math"
 
 const (
 	// revisedPartialPricingMin is the column count above which pricing
@@ -34,27 +27,10 @@ const (
 	revisedPricingBlock = 1024
 )
 
-// statusNumerical is an internal status: the LU refactorization found the
-// basis numerically singular mid-solve. The caller falls back to the dense
-// method, which pivots through near-singularity instead of factoring.
-const statusNumerical Status = -2
-
-type revisedSolver struct {
-	tol        float64
-	forceBland bool
-	skipDuals  bool
-	g          *guard
-	p          *Problem
-	sf         *standardForm
-	lu         *luState
-
-	basis  []int     // slot → basic column
-	status []int8    // per column
-	upper  []float64 // per column (artificials clamped to 0 after phase 1)
-	xb     []float64 // slot → basic value (the dense method's rhs)
-
-	iters int
-	max   int
+// sparseLU is the sparse linalg backend.
+type sparseLU struct {
+	s  *boundedSimplex
+	lu *luState
 
 	priceCursor int
 
@@ -67,300 +43,64 @@ type revisedSolver struct {
 	colBuf []float64 // row space scatter buffer, kept all-zero between uses
 }
 
-// solveRevised is the entry point used by Problem.SolveOpts for
-// MethodRevised.
-func solveRevised(p *Problem, opts Options, g *guard) (*Solution, error) {
-	mRevSolves.Inc()
-	if opts.WarmStart != nil {
-		if sol, err, ok := solveRevisedWarm(p, opts, g); ok {
-			return sol, err
-		}
-		mWarmFallbacks.Inc()
+func newSparseLU(s *boundedSimplex) *sparseLU {
+	m := s.sf.m
+	r := &sparseLU{
+		s:      s,
+		lu:     newLUState(m),
+		cb:     make([]float64, m),
+		w:      make([]float64, m),
+		y:      make([]float64, m),
+		colBuf: make([]float64, m),
 	}
-	rs := newRevisedSolver(p, opts, g)
-	defer rs.flush()
-	st := rs.run()
-	switch st {
-	case statusAborted:
-		return nil, p.solveErr("lp.pivot", Optimal, rs.iters, g.err)
-	case statusNumerical:
-		return rs.denseFallback(p, opts)
-	case Infeasible, Unbounded, IterationLimit, Canceled, DeadlineExceeded:
-		return &Solution{Status: st, Iterations: rs.iters}, nil
-	}
-	return rs.extractSparse(p)
-}
-
-// solveRevisedWarm attempts a phase-2-only revised solve from the supplied
-// basis — warm-start basis reuse carried over as factorization reuse. The
-// boolean reports whether the warm attempt produced a usable outcome.
-func solveRevisedWarm(p *Problem, opts Options, g *guard) (*Solution, error, bool) {
-	mWarmAttempts.Inc()
-	rs := newRevisedSolver(p, opts, g)
-	defer rs.flush()
-	if !rs.applyWarmBasis(opts.WarmStart) {
-		return nil, nil, false
-	}
-	st := rs.simplex(rs.sf.cost)
-	switch st {
-	case statusAborted:
-		return nil, p.solveErr("lp.pivot", Optimal, rs.iters, g.err), true
-	case Canceled, DeadlineExceeded:
-		sol := &Solution{Status: st, Iterations: rs.iters, WarmStarted: true}
-		return sol, nil, true
-	case Optimal:
-		// Proceed to extraction below.
-	default:
-		// Unbounded, IterationLimit or numerical failure from a stale
-		// basis: distrust it and re-derive from a cold start.
-		mWarmPivots.Add(int64(rs.iters))
-		return nil, nil, false
-	}
-	sol, err := rs.extractSparse(p)
-	if err != nil {
-		mWarmPivots.Add(int64(rs.iters))
-		return nil, nil, false
-	}
-	mWarmSolves.Inc()
-	sol.WarmStarted = true
-	return sol, nil, true
-}
-
-func newRevisedSolver(p *Problem, opts Options, g *guard) *revisedSolver {
-	sf := newStandardForm(p)
-	rs := &revisedSolver{
-		tol:        opts.tol(),
-		forceBland: opts.ForceBland,
-		skipDuals:  opts.SkipDuals,
-		g:          g,
-		p:          p,
-		sf:         sf,
-		lu:         newLUState(sf.m),
-		basis:      append([]int(nil), sf.startBasis...),
-		status:     make([]int8, sf.nTotal),
-		upper:      append([]float64(nil), sf.upper...),
-		xb:         append([]float64(nil), sf.rhs...),
-		cb:         make([]float64, sf.m),
-		w:          make([]float64, sf.m),
-		y:          make([]float64, sf.m),
-		colBuf:     make([]float64, sf.m),
-	}
-	for _, c := range rs.basis {
-		rs.status[c] = inBasis
-	}
-	rs.max = opts.maxIter(sf.m, sf.nTotal)
 	// The starting basis is all slack/artificial unit columns — never
 	// singular.
-	rs.refactorNow()
-	return rs
+	r.refactor()
+	return r
 }
 
-func (rs *revisedSolver) flush() {
-	mRevFactorizations.Add(rs.cFactor)
-	mRevEtaUpdates.Add(rs.cEta)
-	mRevRefactorTriggers.Add(rs.cRefactor)
-	mRevFtranSolves.Add(rs.cFtran)
-	mRevBtranSolves.Add(rs.cBtran)
+func (r *sparseLU) flush() {
+	mRevFactorizations.Add(r.cFactor)
+	mRevEtaUpdates.Add(r.cEta)
+	mRevRefactorTriggers.Add(r.cRefactor)
+	mRevFtranSolves.Add(r.cFtran)
+	mRevBtranSolves.Add(r.cBtran)
 }
 
-func (rs *revisedSolver) refactorNow() bool {
-	if !rs.lu.refactor(rs.sf, rs.basis) {
+func (r *sparseLU) refactor() bool {
+	if !r.lu.refactor(r.s.sf, r.s.basis) {
 		return false
 	}
-	rs.cFactor++
+	r.cFactor++
 	return true
 }
 
-// run executes both phases, mirroring boundedTableau.run.
-func (rs *revisedSolver) run() Status {
-	sf := rs.sf
-	hasArt := false
-	for _, isArt := range sf.art {
-		if isArt {
-			hasArt = true
-			break
-		}
+// btran sets y = B⁻ᵀc_B.
+func (r *sparseLU) btran(c []float64) {
+	for i, bc := range r.s.basis {
+		r.cb[i] = c[bc]
 	}
-	if hasArt {
-		c1 := make([]float64, sf.nTotal)
-		for j, isArt := range sf.art {
-			if isArt {
-				c1[j] = 1
-			}
-		}
-		if st := rs.simplex(c1); st != Optimal {
-			return st
-		}
-		artSum := 0.0
-		for i, bc := range rs.basis {
-			if sf.art[bc] {
-				artSum += rs.xb[i]
-			}
-		}
-		scale := 1.0
-		for _, v := range rs.xb {
-			if v > scale {
-				scale = v
-			}
-		}
-		if artSum > rs.tol*scale*float64(sf.m+1)*100 {
-			return Infeasible
-		}
-		for j, isArt := range sf.art {
-			if isArt {
-				rs.upper[j] = 0
-			}
-		}
-	}
-	return rs.simplex(sf.cost)
+	r.lu.btranInto(r.y, r.cb)
+	r.cBtran++
 }
 
-// simplex runs bounded-variable pivots minimizing c. The control flow —
-// progress tracking, Bland switch, entering/leaving rules, flips, clamps —
-// mirrors boundedTableau.simplex; only the linear algebra is factored.
-func (rs *revisedSolver) simplex(c []float64) Status {
-	m, nTotal := rs.sf.m, rs.sf.nTotal
-	bland := rs.forceBland
-	noProgress := 0
-	lastObj := math.Inf(1)
-	for rs.iters < rs.max {
-		if rs.g.due(rs.iters) {
-			if st, stop := rs.g.at("lp.pivot"); stop {
-				return st
-			}
-		}
-		obj := 0.0
-		for j := 0; j < nTotal; j++ {
-			if rs.status[j] == atUpper {
-				obj += c[j] * rs.upper[j]
-			}
-		}
-		for i, bc := range rs.basis {
-			obj += c[bc] * rs.xb[i]
-		}
-		if obj < lastObj-rs.tol {
-			lastObj = obj
-			noProgress = 0
-		} else if noProgress++; noProgress > 2*(m+10) {
-			if !bland {
-				mBlandSwitch.Inc()
-			}
-			bland = true
-		}
+func (r *sparseLU) begin([]float64) {}
 
-		// Pricing duals y = B⁻ᵀ c_B, then reduced costs per column as a
-		// sparse dot against the original matrix.
-		for i, bc := range rs.basis {
-			rs.cb[i] = c[bc]
-		}
-		rs.lu.btranInto(rs.y, rs.cb)
-		rs.cBtran++
-
-		enter, enterDir := rs.price(c, bland)
-		if enter < 0 {
-			return Optimal
-		}
-
-		// Entering column image w = B⁻¹ A_enter (the dense tableau column).
-		rs.ftranCol(enter)
-
-		// Ratio test: identical limits and tie-breaks to the dense method.
-		limit := math.Inf(1)
-		if u := rs.upper[enter]; !math.IsInf(u, 1) {
-			limit = u // full bound-flip distance
-		}
-		leave := -1
-		leaveToUpper := false
-		for i := 0; i < m; i++ {
-			coef := enterDir * rs.w[i]
-			bc := rs.basis[i]
-			if coef > rs.tol {
-				ratio := rs.xb[i] / coef
-				if ratio < limit-rs.tol ||
-					(ratio < limit+rs.tol && leave >= 0 && bc < rs.basis[leave]) {
-					limit = ratio
-					leave = i
-					leaveToUpper = false
-				}
-			} else if coef < -rs.tol {
-				if ub := rs.upper[bc]; !math.IsInf(ub, 1) {
-					ratio := (ub - rs.xb[i]) / -coef
-					if ratio < limit-rs.tol ||
-						(ratio < limit+rs.tol && leave >= 0 && bc < rs.basis[leave]) {
-						limit = ratio
-						leave = i
-						leaveToUpper = true
-					}
-				}
-			}
-		}
-		if math.IsInf(limit, 1) {
-			return Unbounded
-		}
-		rs.iters++
-		if leave < 0 {
-			// Bound flip: x_enter runs to its opposite bound.
-			rs.move(enterDir, limit)
-			if enterDir > 0 {
-				rs.status[enter] = atUpper
-			} else {
-				rs.status[enter] = atLower
-			}
-			continue
-		}
-		rs.move(enterDir, limit)
-		var enterValue float64
-		if enterDir > 0 {
-			enterValue = limit
-		} else {
-			enterValue = rs.upper[enter] - limit
-		}
-		outCol := rs.basis[leave]
-		if leaveToUpper {
-			rs.status[outCol] = atUpper
-		} else {
-			rs.status[outCol] = atLower
-		}
-		rs.basis[leave] = enter
-		rs.xb[leave] = enterValue
-		rs.status[enter] = inBasis
-
-		// Absorb the basis change as an eta, refactoring on the update-count
-		// trigger or when the pivot element is too small to absorb stably.
-		if rs.lu.update(leave, rs.w) {
-			rs.cEta++
-			if rs.lu.needsRefactor() {
-				rs.cRefactor++
-				if !rs.refactorNow() {
-					return statusNumerical
-				}
-			}
-		} else {
-			rs.cRefactor++
-			if !rs.refactorNow() {
-				return statusNumerical
-			}
-		}
-	}
-	return IterationLimit
-}
-
-// price selects the entering column: Dantzig with first-lowest-index ties
-// (first candidate under Bland), over all columns or — above the partial
-// pricing threshold — cyclic blocks starting at the pricing cursor.
-func (rs *revisedSolver) price(c []float64, bland bool) (int, float64) {
-	nTotal := rs.sf.nTotal
+// entering prices every column against fresh duals y = B⁻ᵀc_B: Dantzig
+// with first-lowest-index ties (first candidate under Bland), over all
+// columns or — above the partial pricing threshold — cyclic blocks
+// starting at the pricing cursor.
+func (r *sparseLU) entering(c []float64, bland bool) (int, float64) {
+	r.btran(c)
+	nTotal := r.s.sf.nTotal
 	if bland || nTotal < revisedPartialPricingMin {
-		return rs.priceRange(c, 0, nTotal, bland)
+		return r.priceRange(c, 0, nTotal, bland)
 	}
-	start := rs.priceCursor % nTotal
+	start := r.priceCursor % nTotal
 	for scanned := 0; scanned < nTotal; {
-		hi := start + revisedPricingBlock
-		if hi > nTotal {
-			hi = nTotal
-		}
-		if j, dir := rs.priceRange(c, start, hi, false); j >= 0 {
-			rs.priceCursor = hi % nTotal
+		hi := min(start+revisedPricingBlock, nTotal)
+		if j, dir := r.priceRange(c, start, hi, false); j >= 0 {
+			r.priceCursor = hi % nTotal
 			return j, dir
 		}
 		scanned += hi - start
@@ -369,24 +109,24 @@ func (rs *revisedSolver) price(c []float64, bland bool) (int, float64) {
 	return -1, 0
 }
 
-func (rs *revisedSolver) priceRange(c []float64, lo, hi int, bland bool) (int, float64) {
+func (r *sparseLU) priceRange(c []float64, lo, hi int, bland bool) (int, float64) {
+	s := r.s
 	enter := -1
 	enterDir := 1.0
-	best := rs.tol
+	best := s.tol
 	for j := lo; j < hi; j++ {
-		if rs.status[j] == inBasis {
+		if s.status[j] == inBasis {
 			continue
 		}
-		if rs.upper[j] == 0 && rs.status[j] == atLower {
+		if s.upper[j] == 0 && s.status[j] == atLower {
 			continue // fixed at zero (clamped artificials)
 		}
-		r := c[j] - rs.priceDot(j)
-		var imp float64
-		var dir float64
-		if rs.status[j] == atLower && r < 0 {
-			imp, dir = -r, 1
-		} else if rs.status[j] == atUpper && r > 0 {
-			imp, dir = r, -1
+		rc := c[j] - r.dot(r.y, j)
+		var imp, dir float64
+		if s.status[j] == atLower && rc < 0 {
+			imp, dir = -rc, 1
+		} else if s.status[j] == atUpper && rc > 0 {
+			imp, dir = rc, -1
 		} else {
 			continue
 		}
@@ -402,228 +142,80 @@ func (rs *revisedSolver) priceRange(c []float64, lo, hi int, bland bool) (int, f
 	return enter, enterDir
 }
 
-// priceDot is yᵀA_j over the sparse column.
-func (rs *revisedSolver) priceDot(j int) float64 {
-	rows, vals := rs.sf.a.col(j)
-	s := 0.0
-	for k, r := range rows {
-		s += rs.y[r] * vals[k]
+// dot is yᵀA_j over the sparse column.
+func (r *sparseLU) dot(y []float64, j int) float64 {
+	rows, vals := r.s.sf.a.col(j)
+	sum := 0.0
+	for k, i := range rows {
+		sum += y[i] * vals[k]
 	}
-	return s
+	return sum
 }
 
-// ftranCol computes w = B⁻¹ A_j via the scatter buffer (restored to zero
+// column computes w = B⁻¹A_j via the scatter buffer (restored to zero
 // before returning).
-func (rs *revisedSolver) ftranCol(j int) {
-	rows, vals := rs.sf.a.col(j)
-	for k, r := range rows {
-		rs.colBuf[r] = vals[k]
+func (r *sparseLU) column(j int) []float64 {
+	rows, vals := r.s.sf.a.col(j)
+	for k, i := range rows {
+		r.colBuf[i] = vals[k]
 	}
-	rs.lu.ftranInto(rs.w, rs.colBuf)
-	rs.cFtran++
-	for _, r := range rows {
-		rs.colBuf[r] = 0
+	r.lu.ftranInto(r.w, r.colBuf)
+	r.cFtran++
+	for _, i := range rows {
+		r.colBuf[i] = 0
 	}
+	return r.w
 }
 
-// move shifts the entering column by delta in direction dir, updating basic
-// values from its FTRAN image in rs.w — the revised counterpart of
-// boundedTableau.move, including its tiny-negative clamp.
-func (rs *revisedSolver) move(dir, delta float64) {
-	if delta == 0 {
-		return
-	}
-	for i := 0; i < rs.sf.m; i++ {
-		rs.xb[i] -= dir * delta * rs.w[i]
-		if rs.xb[i] < 0 && rs.xb[i] > -1e-11 {
-			rs.xb[i] = 0
+// pivot absorbs the basis change as an eta, refactoring on the
+// update-count trigger or when the pivot element is too small to absorb
+// stably.
+func (r *sparseLU) pivot(leave, _ int) bool {
+	if r.lu.update(leave, r.w) {
+		r.cEta++
+		if !r.lu.needsRefactor() {
+			return true
 		}
 	}
+	r.cRefactor++
+	return r.refactor()
 }
 
-// applyWarmBasis reconstitutes the solver at the supplied basis: statuses
-// restored, the basis refactorized (LU instead of the dense Gauss-Jordan),
-// basic values recomputed as xb = B⁻¹(b − Σ u_j A_j over nonbasic-at-upper
-// columns) and checked for primal feasibility — the revised counterpart of
-// boundedTableau.applyWarmBasis, accepting bases from either method (the
-// column layouts are identical by construction).
-func (rs *revisedSolver) applyWarmBasis(b *Basis) bool {
-	sf := rs.sf
-	if b == nil || (b.method != MethodBounded && b.method != MethodRevised) ||
-		b.n != sf.n || b.m != sf.m || b.nTotal != sf.nTotal ||
-		len(b.rows) != sf.m || len(b.status) != sf.nTotal {
+// warm factorizes the basis in the given slot order and computes the basic
+// values as xb = B⁻¹(b − Σ u_j A_j over nonbasic-at-upper columns): the
+// at-upper offsets accumulate in row space, then one FTRAN.
+func (r *sparseLU) warm(rows []int) bool {
+	s := r.s
+	copy(s.basis, rows)
+	if !r.refactor() {
 		return false
 	}
-	inBasisCount := 0
-	for j, st := range b.status {
-		switch st {
-		case inBasis:
-			inBasisCount++
-		case atUpper:
-			if math.IsInf(rs.upper[j], 1) {
-				return false // bound vanished; the status is meaningless
+	// r.y doubles as the row-space scratch here (pricing overwrites it
+	// before first use). xb still holds the standard form's b.
+	copy(r.y, s.xb)
+	for j, st := range s.status {
+		if u := s.upper[j]; st == atUpper && u != 0 {
+			rows, vals := s.sf.a.col(j)
+			for k, i := range rows {
+				r.y[i] -= u * vals[k]
 			}
-		case atLower:
-			// Always valid.
-		default:
-			return false
 		}
 	}
-	if inBasisCount != sf.m {
-		return false
-	}
-	seen := make([]bool, sf.nTotal)
-	for _, col := range b.rows {
-		if col < 0 || col >= sf.nTotal || b.status[col] != inBasis || seen[col] {
-			return false
-		}
-		seen[col] = true
-	}
-	copy(rs.basis, b.rows)
-	copy(rs.status, b.status)
-	if !rs.refactorNow() {
-		return false // singular for the perturbed matrix
-	}
-	// Artificials never re-enter a warm phase 2.
-	for j, isArt := range sf.art {
-		if isArt {
-			rs.upper[j] = 0
-		}
-	}
-	// Basic values: accumulate the at-upper offsets in row space, then one
-	// FTRAN. rs.y doubles as the row-space scratch here (pricing overwrites
-	// it before first use).
-	copy(rs.y, sf.rhs)
-	for j, st := range rs.status {
-		if st != atUpper {
-			continue
-		}
-		u := rs.upper[j]
-		if u == 0 {
-			continue
-		}
-		rows, vals := sf.a.col(j)
-		for k, r := range rows {
-			rs.y[r] -= u * vals[k]
-		}
-	}
-	rs.lu.ftranInto(rs.xb, rs.y)
-	rs.cFtran++
-
-	// Primal feasibility under the current bounds, with the same
-	// scale-aware tolerance the dense warm path uses.
-	scale := 1.0
-	for _, v := range rs.xb {
-		if a := math.Abs(v); a > scale {
-			scale = a
-		}
-	}
-	eps := rs.tol * scale * float64(sf.m+1) * 100
-	for i := 0; i < sf.m; i++ {
-		v := rs.xb[i]
-		if v < -eps {
-			return false
-		}
-		u := rs.upper[rs.basis[i]]
-		if !math.IsInf(u, 1) && v > u+eps {
-			return false
-		}
-		if v < 0 {
-			rs.xb[i] = 0
-		} else if v > u {
-			rs.xb[i] = u
-		}
-	}
+	r.lu.ftranInto(s.xb, r.y)
+	r.cFtran++
 	return true
 }
 
-// captureBasis snapshots the solver's final basis for reuse. The layout is
-// identical to the dense bounded tableau's, so either warm path accepts it.
-func (rs *revisedSolver) captureBasis() *Basis {
-	return &Basis{
-		method: MethodRevised,
-		n:      rs.sf.n,
-		m:      rs.sf.m,
-		nTotal: rs.sf.nTotal,
-		rows:   append([]int(nil), rs.basis...),
-		status: append([]int8(nil), rs.status...),
+// duals refactorizes the final basis (dropping eta round-off), then solves
+// for y with one BTRAN.
+func (r *sparseLU) duals() ([]float64, bool) {
+	if !r.refactor() {
+		return nil, false
 	}
+	r.btran(r.s.sf.cost)
+	return r.y, true
 }
 
-// denseFallback hands the whole solve to the dense bounded method (cold).
-// Correctness is never affected — only cost — and the event is counted.
-func (rs *revisedSolver) denseFallback(p *Problem, opts Options) (*Solution, error) {
-	mRevDenseFallbacks.Inc()
-	opts.WarmStart = nil
-	sol, err := solveBounded(p, opts, rs.g)
-	if sol != nil {
-		sol.Iterations += rs.iters
-	}
-	return sol, err
-}
-
-// extractSparse reads the solution directly from the solver state: primal
-// values from xb, duals from a BTRAN against a fresh factorization of the
-// final basis (the sparse analogue of the dense extractor's Bᵀy = c_B
-// solve).
-func (rs *revisedSolver) extractSparse(p *Problem) (*Solution, error) {
-	sf := rs.sf
-	sol := &Solution{
-		Status:     Optimal,
-		X:          make([]float64, sf.n),
-		Duals:      make([]float64, sf.m),
-		BoundDuals: make([]float64, sf.n),
-		Iterations: rs.iters,
-	}
-	for j := 0; j < sf.n; j++ {
-		if rs.status[j] == atUpper {
-			sol.X[j] = rs.upper[j]
-		}
-	}
-	for i, bc := range rs.basis {
-		if bc < sf.n {
-			sol.X[bc] = rs.xb[i]
-		}
-	}
-	for j := range sol.X {
-		if math.Abs(sol.X[j]) < 1e-12 {
-			sol.X[j] = 0
-		}
-	}
-	obj := 0.0
-	for j, x := range sol.X {
-		obj += p.obj[j] * x
-	}
-	sol.Objective = obj
-	sol.basis = rs.captureBasis()
-
-	if rs.skipDuals {
-		return sol, nil
-	}
-	// Fresh factorization at the final basis (drops eta roundoff), then one
-	// BTRAN for the row duals.
-	if !rs.refactorNow() {
-		return nil, p.solveErr("dual-extraction", Optimal, rs.iters, ErrSingularBasis)
-	}
-	for i, bc := range rs.basis {
-		rs.cb[i] = sf.cost[bc]
-	}
-	rs.lu.btranInto(rs.y, rs.cb)
-	rs.cBtran++
-	for i, row := range p.rows {
-		d := rs.y[i]
-		if row.RHS < 0 {
-			d = -d
-		}
-		sol.Duals[i] = d
-	}
-	// Bound duals: reduced cost of structural variables nonbasic at their
-	// upper bound.
-	for j := 0; j < sf.n; j++ {
-		if rs.status[j] != atUpper {
-			continue
-		}
-		sol.BoundDuals[j] = sf.cost[j] - rs.priceDot(j)
-	}
-	return sol, nil
+func (r *sparseLU) reducedCost(y []float64, j int) float64 {
+	return r.s.sf.cost[j] - r.dot(y, j)
 }

@@ -57,10 +57,10 @@ func TestWarmStartDegenerateArtificialBasis(t *testing.T) {
 			}
 			// The regression is only meaningful if the captured basis
 			// really contains an artificial column.
-			tab := newBoundedTableau(build(), Options{})
+			sf := newStandardForm(build())
 			hasArt := false
 			for _, col := range b.rows {
-				if tab.art[col] {
+				if sf.art[col] {
 					hasArt = true
 				}
 			}

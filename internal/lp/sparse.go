@@ -1,15 +1,13 @@
-// Sparse column storage for the revised simplex.
+// Standard form of the bounded simplex, in sparse column storage.
 //
-// The revised method (revised.go) never materializes the dense B⁻¹A tableau;
-// it works from the original standard-form constraint matrix held here in
-// compressed sparse column (CSC) form, plus a factorization of the current
-// basis (lu.go). The column layout is byte-for-byte the same as the dense
-// bounded tableau's (bounded.go): structural variables first, then per
-// constraint row a slack (LE), surplus+artificial (GE), or artificial (EQ)
-// column, with the same RHS-sign normalization. Identical layout is what
-// makes a Basis captured by one method directly applicable to the other —
-// the warm-start and solve-cache machinery of warmstart.go carries over
-// unchanged.
+// Both backends of the bounded simplex (bounded.go) start from the one
+// lowering here: the dense tableau scatters its CSC matrix, the revised
+// backend factors and prices straight from it. The column layout is
+// structural variables first, then per constraint row a slack (LE),
+// surplus+artificial (GE), or artificial (EQ) column, with rows of negative
+// RHS negated. A Basis captured by either backend therefore indexes the
+// same columns, which is what lets warm starts and the solve cache cross
+// the method boundary.
 package lp
 
 import "math"
@@ -37,8 +35,7 @@ func (a *cscMatrix) colNNZ(j int) int { return int(a.colPtr[j+1] - a.colPtr[j]) 
 
 // standardForm is the bounded-variable standard form of a Problem in sparse
 // column storage: minimize cost·x subject to A·x = rhs, 0 ≤ x ≤ upper, with
-// slack/surplus/artificial columns appended exactly as newBoundedTableau
-// lays them out.
+// slack/surplus/artificial columns appended after the structural ones.
 type standardForm struct {
 	n      int // structural variables
 	m      int // constraint rows
@@ -50,14 +47,13 @@ type standardForm struct {
 	cost  []float64 // phase-2 cost per column
 	art   []bool    // per column: is artificial
 	// startBasis[i] is the column initially basic in row i (its slack or
-	// artificial), mirroring the bounded tableau's starting basis.
+	// artificial).
 	startBasis []int
 }
 
-// newStandardForm lowers p into sparse standard form. The normalization
-// (flip rows with negative RHS, aggregate duplicate coefficients in
-// encounter order) replicates newBoundedTableau exactly so that both
-// methods price the same matrix.
+// newStandardForm lowers p into sparse standard form: rows with a negative
+// RHS are negated (a ≤ row becomes ≥ and vice versa), and duplicate
+// (row, variable) coefficients aggregate in encounter order.
 func newStandardForm(p *Problem) *standardForm {
 	s := &standardForm{n: len(p.obj), m: len(p.rows)}
 
@@ -85,8 +81,7 @@ func newStandardForm(p *Problem) *standardForm {
 
 	// Pass 2: fill structural entries row-by-row; within each column,
 	// entries arrive in ascending row order because rows are visited in
-	// order. Duplicate (row, var) pairs within one row aggregate in place,
-	// matching the dense builder's `a[i][v] += value`.
+	// order. Duplicate (row, var) pairs within one row aggregate in place.
 	fill := make([]int32, s.n)
 	copy(fill, colPtr[:s.n])
 	s.rhs = make([]float64, s.m)
@@ -145,7 +140,7 @@ func newStandardForm(p *Problem) *standardForm {
 		s.art = append(s.art, false)
 	}
 
-	// Slack / surplus / artificial columns in the bounded tableau's order.
+	// Slack / surplus / artificial columns in row order.
 	s.startBasis = make([]int, s.m)
 	col := s.n
 	addUnit := func(rowI int, coef float64, isArt bool) int {

@@ -21,7 +21,7 @@ var (
 	mFallbacks     = telemetry.NewCounter("lp.fallbacks")
 	mPivotsHist    = telemetry.NewHistogram("lp.pivots_per_solve", telemetry.WorkEdges)
 
-	// Full re-pricings of the bounded tableau's reduced-cost row: one on
+	// Full re-pricings of the dense backend's reduced-cost row: one on
 	// entry to each simplex phase plus one per optimality check that
 	// follows a pivot. Every other pivot updates the row incrementally, so
 	// lp.pivots ÷ lp.pricing_full is how many pivots each O(m·n) pricing
@@ -42,7 +42,7 @@ var (
 	// Revised-method attribution: sparse solves entered through
 	// MethodRevised, the factorization/eta/solve work they performed, and
 	// dense fallbacks (numerical failure mid-sparse-solve handed to the
-	// dense method).
+	// dense backend).
 	mRevSolves           = telemetry.NewCounter("lp.revised.solves")
 	mRevFactorizations   = telemetry.NewCounter("lp.revised.factorizations")
 	mRevEtaUpdates       = telemetry.NewCounter("lp.revised.eta_updates")

@@ -136,7 +136,7 @@ func TestWarmStartStaleBasisFallsBack(t *testing.T) {
 	})
 
 	t.Run("corrupt-rows", func(t *testing.T) {
-		bad := &Basis{method: good.method, n: good.n, m: good.m, nTotal: good.nTotal,
+		bad := &Basis{n: good.n, m: good.m, nTotal: good.nTotal,
 			rows:   make([]int, len(good.rows)),
 			status: append([]int8(nil), good.status...)}
 		for i := range bad.rows {
@@ -152,18 +152,6 @@ func TestWarmStartStaleBasisFallsBack(t *testing.T) {
 		}
 		if sol.Status != Optimal {
 			t.Fatalf("fallback status %v", sol.Status)
-		}
-	})
-
-	t.Run("rows-method-basis-rejected", func(t *testing.T) {
-		rows := &Basis{method: MethodRows, n: good.n, m: good.m, nTotal: good.nTotal,
-			rows: good.rows, status: good.status}
-		sol, err := dispatchLikeProblem().SolveOpts(Options{Method: MethodBounded, WarmStart: rows})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sol.WarmStarted {
-			t.Fatal("accepted a rows-method basis on the bounded path")
 		}
 	})
 }
